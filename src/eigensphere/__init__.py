@@ -6,10 +6,8 @@ excursion volumes, the defect, and Monte Carlo CLT diagnostics.
 """
 from .specfun import (
     GegenbauerSpec,
-    Multipole,
     bessel_j,
     gauss_pdf_cdf,
-    gegenbauer_batch,
     gegenbauer_eval,
     hermite_eval,
     sphere_measure,
@@ -34,7 +32,6 @@ from .field import (
 )
 from .functionals import (
     ChaosCoefficients,
-    FunctionalValue,
     defect,
     excursion_volume,
     generic_functional,

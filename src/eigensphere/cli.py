@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -50,12 +49,14 @@ class RunConfig:
     fmt: str = "csv"
 
     def validate(self) -> None:
-        if self.command not in ("constants", "moments", "simulate", "clt", "excursion", "defect"):
+        if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.ell_list:
             raise ConfigError("ell list must be non-empty")
         if any(b <= a for a, b in zip(self.ell_list, self.ell_list[1:])):
             raise ConfigError("ell list must be strictly increasing")
+        if self.ell_list[0] < 0:
+            raise ConfigError(f"degrees must be >= 0, got {self.ell_list[0]}")
         if self.d < 2:
             raise ConfigError(f"need d >= 2, got {self.d}")
         if self.replicates < 2:
@@ -68,14 +69,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _var_stderr(values: np.ndarray) -> float:
-    """Asymptotic standard error of the sample variance, sqrt((m4 - m2^2)/n)."""
-    c = values - values.mean()
-    m2 = float(np.mean(c * c))
-    m4 = float(np.mean(c**4))
-    return math.sqrt(max(m4 - m2 * m2, 0.0) / len(values))
-
-
 def _resolution(cfg: RunConfig, kind: str, ell: int) -> int:
     from .stats import default_resolution
 
@@ -85,9 +78,9 @@ def _resolution(cfg: RunConfig, kind: str, ell: int) -> int:
 
 
 def _rows_constants(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    from .moments import asymptotic_constant
+    from .moments import asymptotic_constant, closed_form_law
 
-    method = "closed-form" if cfg.q == 2 or (cfg.d, cfg.q) == (2, 4) else "bessel-integral"
+    method = "bessel-integral" if closed_form_law(cfg.q, cfg.d) is None else "closed-form"
     value = asymptotic_constant(cfg.q, cfg.d)
     return ["q", "d", "value", "method"], [[cfg.q, cfg.d, value, method]]
 
@@ -127,26 +120,6 @@ def _rows_simulate(cfg: RunConfig) -> tuple[list[str], list[list]]:
     return ["d", "ell", "resolution", "seed", "value", "node_var", "n_nodes"], rows
 
 
-def _rows_clt(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    from .stats import ExperimentSpec, run_ensemble
-
-    rows = []
-    for ell in cfg.ell_list:
-        res = _resolution(cfg, "projection", ell)
-        spec = ExperimentSpec(cfg.d, ell, "projection", res, q=cfg.q)
-        s = run_ensemble(spec, cfg.replicates, cfg.seed)
-        rows.append(
-            [
-                cfg.d, ell, cfg.q, res, cfg.replicates, cfg.seed,
-                s.variance, _var_stderr(s.values), s.ks_to_normal, s.w1_to_normal, s.cum4,
-            ]
-        )
-    return (
-        ["d", "ell", "q", "resolution", "replicates", "seed", "value", "stderr", "ks", "w1", "cum4"],
-        rows,
-    )
-
-
 def _expansion_variance(z: float, truncation: int, ell: int, d: int) -> float:
     """Analytic variance of the truncation-order expansion of the level-z
     indicator: sum_{q>=2} J_q^2 Var[h_q] / q!^2 (even degrees only)."""
@@ -162,64 +135,71 @@ def _expansion_variance(z: float, truncation: int, ell: int, d: int) -> float:
     )
 
 
-def _rows_excursion(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def _excursion_stats(cfg: RunConfig, ell: int, s) -> list:
     from .specfun import gauss_pdf_cdf, sphere_measure
-    from .stats import ExperimentSpec, run_ensemble
 
     target = sphere_measure(cfg.d) * (1.0 - gauss_pdf_cdf(cfg.z)[1])
-    rows = []
-    for ell in cfg.ell_list:
-        res = _resolution(cfg, "excursion", ell)
-        spec = ExperimentSpec(cfg.d, ell, "excursion", res, z=cfg.z)
-        s = run_ensemble(spec, cfg.replicates, cfg.seed)
-        stderr = math.sqrt(s.variance / s.replicates)
-        rows.append(
-            [cfg.d, ell, cfg.z, res, cfg.replicates, cfg.seed,
-             s.mean, stderr, s.variance,
-             _expansion_variance(cfg.z, cfg.truncation, ell, cfg.d),
-             target, s.ks_to_normal]
-        )
-    return (
-        ["d", "ell", "z", "resolution", "replicates", "seed", "value", "stderr",
-         "variance", "expansion_variance", "target_mean", "ks"],
-        rows,
-    )
+    return [s.mean, math.sqrt(s.variance / s.replicates), s.variance,
+            _expansion_variance(cfg.z, cfg.truncation, ell, cfg.d), target, s.ks_to_normal]
 
 
-def _rows_defect(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def _clt_stats(cfg: RunConfig, ell: int, s) -> list:
+    from .stats import variance_stderr
+
+    return [s.variance, variance_stderr(s.values), s.ks_to_normal, s.w1_to_normal, s.cum4]
+
+
+def _defect_stats(cfg: RunConfig, ell: int, s) -> list:
+    from .stats import variance_stderr
+
+    return [ell * ell * s.variance, ell * ell * variance_stderr(s.values),
+            s.mean, math.sqrt(s.variance / s.replicates), s.ks_to_normal]
+
+
+# command -> (functional kind, its RunConfig parameter, columns, row values)
+_ENSEMBLES = {
+    "clt": ("projection", "q", ["value", "stderr", "ks", "w1", "cum4"], _clt_stats),
+    "excursion": ("excursion", "z",
+                  ["value", "stderr", "variance", "expansion_variance", "target_mean", "ks"],
+                  _excursion_stats),
+    "defect": ("defect", None, ["value", "stderr", "mean", "mean_stderr", "ks"], _defect_stats),
+}
+
+
+def _rows_ensemble(cfg: RunConfig) -> tuple[list[str], list[list]]:
     from .stats import ExperimentSpec, run_ensemble
 
+    kind, param, columns, row_stats = _ENSEMBLES[cfg.command]
+    params = {param: getattr(cfg, param)} if param else {}
     rows = []
     for ell in cfg.ell_list:
-        res = _resolution(cfg, "defect", ell)
-        spec = ExperimentSpec(cfg.d, ell, "defect", res)
-        s = run_ensemble(spec, cfg.replicates, cfg.seed)
-        scaled = ell * ell * s.variance
-        scaled_se = ell * ell * _var_stderr(s.values)
-        mean_se = math.sqrt(s.variance / s.replicates)
-        rows.append(
-            [cfg.d, ell, res, cfg.replicates, cfg.seed, scaled, scaled_se, s.mean, mean_se, s.ks_to_normal]
-        )
-    return (
-        ["d", "ell", "resolution", "replicates", "seed", "value", "stderr", "mean", "mean_stderr", "ks"],
-        rows,
-    )
+        res = _resolution(cfg, kind, ell)
+        s = run_ensemble(ExperimentSpec(cfg.d, ell, kind, res, **params), cfg.replicates, cfg.seed)
+        rows.append([cfg.d, ell, *params.values(), res, cfg.replicates, cfg.seed,
+                     *row_stats(cfg, ell, s)])
+    keys = ["d", "ell", *params, "resolution", "replicates", "seed"]
+    return keys + columns, rows
 
 
-_RUNNERS = {
-    "constants": _rows_constants,
-    "moments": _rows_moments,
-    "simulate": _rows_simulate,
-    "clt": _rows_clt,
-    "excursion": _rows_excursion,
-    "defect": _rows_defect,
+# command -> (row builder, help text)
+_COMMANDS = {
+    "constants": (_rows_constants, "evaluate one asymptotic constant"),
+    "moments": (_rows_moments, "moment integrals over a degree sweep"),
+    "simulate": (_rows_simulate, "draw one field realization per degree"),
+    "clt": (_rows_ensemble, "chaos-projection ensembles with normality diagnostics"),
+    "excursion": (_rows_ensemble, "excursion-volume ensembles at a level z"),
+    "defect": (_rows_ensemble, "defect ensembles with scaled variance"),
 }
 
 
 def _write(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
     if cfg.fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
+        # JSON has no NaN or infinity (expansion_variance at odd degrees): null
+        payload = [
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in zip(header, row)}
+            for row in rows
+        ]
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -237,7 +217,7 @@ def _write(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
 def run(cfg: RunConfig) -> str:
     """Execute one configuration; returns the rendered output text."""
     cfg.validate()
-    header, rows = _RUNNERS[cfg.command](cfg)
+    header, rows = _COMMANDS[cfg.command][0](cfg)
     return _write(cfg, header, rows)
 
 
@@ -249,15 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--verify", action="store_true", help="run the acceptance battery and exit")
     sub = p.add_subparsers(dest="command")
-    specs = {
-        "constants": "evaluate one asymptotic constant",
-        "moments": "moment integrals over a degree sweep",
-        "simulate": "draw one field realization per degree",
-        "clt": "chaos-projection ensembles with normality diagnostics",
-        "excursion": "excursion-volume ensembles at a level z",
-        "defect": "defect ensembles with scaled variance",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in _COMMANDS.items():
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--d", type=int, default=2)
         q.add_argument("--q", type=int, default=2)
@@ -273,10 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("EIGENSPHERE_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", threads)
     args = _build_parser().parse_args(argv)
     if args.verify:
         from .verify import run_battery
@@ -287,29 +255,15 @@ def main(argv=None) -> int:
         _build_parser().print_help()
         return 2
     try:
-        cfg = RunConfig(
-            command=args.command,
-            d=args.d,
-            q=args.q,
-            truncation=args.truncation,
-            ell_list=[int(tok) for tok in args.ell.split(",") if tok],
-            z=args.z,
-            replicates=args.replicates,
-            grid_resolution=args.grid_resolution,
-            seed=args.seed,
-            output=args.output,
-            fmt=args.fmt,
-        )
-        run(cfg)
+        # every other parser destination is a RunConfig field of the same name
+        opts = {k: v for k, v in vars(args).items() if k not in ("verify", "ell")}
+        run(RunConfig(ell_list=[int(tok) for tok in args.ell.split(",") if tok], **opts))
     except (ConfigError, ValueError) as exc:
         # ValueError outside RunConfig.validate means a numeric-domain error
         code = 2 if isinstance(exc, ConfigError) else 3
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except ArithmeticError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import Multipole, gegenbauer_eval_many, sphere_measure
+from .specfun import gegenbauer_eval_many, sphere_measure
 
 __all__ = [
     "SphereGrid",
@@ -59,10 +59,6 @@ class SphereGrid:
     def size(self) -> int:
         return len(self.weights)
 
-    def geodesic_from(self, point: np.ndarray) -> np.ndarray:
-        """arccos of the inner products against one unit vector."""
-        return np.arccos(np.clip(self.nodes @ np.asarray(point), -1.0, 1.0))
-
 
 @dataclass(frozen=True)
 class FieldSample:
@@ -70,7 +66,7 @@ class FieldSample:
 
     grid: SphereGrid
     values: np.ndarray
-    ell: Multipole
+    ell: int
     seed: int
 
 
@@ -242,7 +238,7 @@ def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
         gc[1:] = g[1::2]
         gs[1:] = g[2::2]
     values = ((a * gc[:, None]).T @ cos_t + (a * gs[:, None]).T @ sin_t).ravel()
-    return FieldSample(grid, values, Multipole(ell, 2), seed)
+    return FieldSample(grid, values, ell, seed)
 
 
 def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
@@ -271,11 +267,13 @@ def simulate_sd(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     L z with L L^T = [G(<x_i, x_j>)] + jitter I and z i.i.d. N(0,1)."""
     factor = _dense_factor(grid, ell)
     z = _rng_for(seed).standard_normal(grid.size)
-    return FieldSample(grid, factor @ z, Multipole(ell, grid.d), seed)
+    return FieldSample(grid, factor @ z, ell, seed)
 
 
 def simulate(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     """Dispatch to the harmonic route on S^2, dense factorization above."""
+    if ell < 0:
+        raise ValueError(f"degree must be >= 0, got {ell}")
     if grid.d == 2:
         return simulate_s2(ell, grid, seed)
     return simulate_sd(ell, grid, seed)
@@ -289,7 +287,7 @@ _HEADER = struct.Struct("<HHI")
 def dump_field(sample: FieldSample, path) -> None:
     """Write the sample for external visualization (format above)."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(sample.grid.d, sample.ell.ell, len(sample.values)))
+        fh.write(_HEADER.pack(sample.grid.d, sample.ell, len(sample.values)))
         fh.write(np.ascontiguousarray(sample.values, dtype="<f8").tobytes())
 
 

@@ -13,7 +13,6 @@ from .specfun import gauss_pdf_cdf, hermite_eval, hermite_ladder, sphere_measure
 
 __all__ = [
     "ChaosCoefficients",
-    "FunctionalValue",
     "indicator_coeffs",
     "excursion_volume",
     "defect",
@@ -22,16 +21,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    """Value of one functional on one sample; ``centered`` subtracts the
-    analytic mean when it is known (zero for the defect and the q >= 1
-    projections)."""
-
-    kind: str  # "excursion" | "defect" | "projection" | "generic"
-    value: float
-    centered: float
-    param: float | None = None  # level z or projection order q
+# Largest J_Q^2 / Q! a truncated expansion may end on.
+_TAIL_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -41,16 +32,15 @@ class ChaosCoefficients:
     the centered series starting at the rank."""
 
     coeffs: tuple[float, ...]
-    tail_tol: float = 1e-2
 
     def __post_init__(self):
         if len(self.coeffs) < 3:
             raise ValueError("need coefficients at least up to order 2")
         q = self.truncation
         tail = self.coeffs[q] ** 2 / math.factorial(q)
-        if tail > self.tail_tol:
+        if tail > _TAIL_TOL:
             raise ValueError(
-                f"last retained coefficient too heavy: J_Q^2/Q! = {tail:.3e} > {self.tail_tol:.1e}"
+                f"last retained coefficient too heavy: J_Q^2/Q! = {tail:.3e} > {_TAIL_TOL:.1e}"
             )
 
     @property
@@ -77,35 +67,29 @@ def indicator_coeffs(z: float, truncation: int = 8) -> ChaosCoefficients:
     return ChaosCoefficients(tuple(coeffs))
 
 
-def excursion_volume(sample: FieldSample, z: float) -> FunctionalValue:
-    """Quadrature measure of the region where the field exceeds z; centered
-    against the exact mean mu_d * (1 - Phi(z)).  Capped at mu_d: the
-    weights may sum to mu_d plus a few ulps, and no subset of S^d is
-    larger than the sphere."""
+def excursion_volume(sample: FieldSample, z: float) -> float:
+    """Quadrature measure of the region where the field exceeds z (mean
+    mu_d * (1 - Phi(z))).  Capped at mu_d: the weights may sum to mu_d
+    plus a few ulps, and no subset of S^d is larger than the sphere."""
     mu = sphere_measure(sample.grid.d)
-    value = min(float(np.sum(sample.grid.weights * (sample.values > z))), mu)
-    mean = mu * (1.0 - gauss_pdf_cdf(z)[1])
-    return FunctionalValue("excursion", value, value - mean, param=float(z))
+    return min(float(np.sum(sample.grid.weights * (sample.values > z))), mu)
 
 
-def defect(sample: FieldSample) -> FunctionalValue:
+def defect(sample: FieldSample) -> float:
     """Positive-region volume minus negative-region volume.  Exact zeros
     contribute nothing (a probability-zero event, tolerated so reruns are
     bitwise stable)."""
-    value = float(np.sum(sample.grid.weights * np.sign(sample.values)))
-    return FunctionalValue("defect", value, value)
+    return float(np.sum(sample.grid.weights * np.sign(sample.values)))
 
 
-def hermite_projection(sample: FieldSample, q: int) -> FunctionalValue:
+def hermite_projection(sample: FieldSample, q: int) -> float:
     """Order-q chaos projection: quadrature integral of H_q(field)."""
     if q < 0:
         raise ValueError(f"projection order must be >= 0, got {q}")
-    value = float(np.sum(sample.grid.weights * hermite_eval(q, sample.values)))
-    mean = sphere_measure(sample.grid.d) if q == 0 else 0.0
-    return FunctionalValue("projection", value, value - mean, param=float(q))
+    return float(np.sum(sample.grid.weights * hermite_eval(q, sample.values)))
 
 
-def generic_functional(sample: FieldSample, coeffs: ChaosCoefficients) -> FunctionalValue:
+def generic_functional(sample: FieldSample, coeffs: ChaosCoefficients) -> float:
     """Centered truncated expansion sum_{q=1}^{Q} (J_q / q!) integral of
     H_q(field); cross-checks direct evaluation of the nonlinearity."""
     rank = coeffs.rank
@@ -117,4 +101,4 @@ def generic_functional(sample: FieldSample, coeffs: ChaosCoefficients) -> Functi
     for q in range(1, coeffs.truncation + 1):
         if coeffs.coeffs[q] != 0.0:
             value += coeffs.coeffs[q] / math.factorial(q) * float(np.sum(w * ladder[q]))
-    return FunctionalValue("generic", value, value)
+    return value

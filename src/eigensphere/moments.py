@@ -34,6 +34,7 @@ __all__ = [
     "asymptotic_constant",
     "projection_variance",
     "scaling_law",
+    "closed_form_law",
     "moment_result",
     "constant_sign_probe",
 ]
@@ -46,15 +47,13 @@ class NonConvergedError(RuntimeError):
 _PANEL_NODES = 16
 
 
-def _gauss_legendre_panels(n_panels: int, a: float, b: float, nodes: int):
-    """Composite Gauss-Legendre nodes/weights on [a, b] split evenly."""
+def _gauss_legendre_panels(edges: np.ndarray, nodes: int):
+    """Gauss-Legendre nodes/weights on each panel [edges[i], edges[i+1]],
+    one row per panel."""
     xg, wg = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a, b, n_panels + 1)
     lo = edges[:-1, None]
     hi = edges[1:, None]
-    x = (0.5 * (hi - lo) * xg + 0.5 * (hi + lo)).ravel()
-    w = (0.5 * (hi - lo) * wg + np.zeros_like(lo)).ravel()
-    return x, w
+    return 0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg + np.zeros_like(lo)
 
 
 def moment_integral(ell: int, q: int, d: int, *, nodes_per_panel: int = _PANEL_NODES) -> float:
@@ -62,22 +61,21 @@ def moment_integral(ell: int, q: int, d: int, *, nodes_per_panel: int = _PANEL_N
 
     Panel width is pi/(4*(ell+1)), a quarter of the oscillation
     wavelength, so fixed-order quadrature per panel is spectrally
-    accurate and the total cost stays linear in ell.
+    accurate.  Each of the 2*(ell+1)*nodes_per_panel nodes runs the
+    ell-step degree recurrence, so the cost grows like ell^2.
     """
     if ell < 0 or q < 1 or d < 2:
         raise ValueError(f"need ell >= 0, q >= 1, d >= 2, got {(ell, q, d)}")
-    n_panels = 2 * (ell + 1)
-    theta, w = _gauss_legendre_panels(n_panels, 0.0, 0.5 * math.pi, nodes_per_panel)
+    edges = np.linspace(0.0, 0.5 * math.pi, 2 * (ell + 1) + 1)
+    theta, w = (a.ravel() for a in _gauss_legendre_panels(edges, nodes_per_panel))
     g = gegenbauer_eval_many(ell, d, np.cos(theta))
     return float(np.sum(w * g**q * np.sin(theta) ** (d - 1)))
 
 
-def closed_form_c2(d: int) -> float:
-    """c for q = 2: (d-1)! * mu_d / (4 * mu_{d-1})."""
-    return math.factorial(d - 1) * sphere_measure(d) / (4.0 * sphere_measure(d - 1))
-
-
 _C42 = 3.0 / (2.0 * math.pi**2)
+
+# Gauss-Legendre nodes per chunk between consecutive Bessel zeros.
+_CHUNK_NODES = 32
 
 
 def _bessel_zeros(nu: float, count: int) -> np.ndarray:
@@ -114,14 +112,13 @@ def asymptotic_constant(
     *,
     tol: float = 1e-6,
     max_zeros: int = 480,
-    nodes_per_chunk: int = 32,
 ) -> float:
     """Limiting constant of ell^d (or ell^(d-1) for q=2) times the moment
     integral.
 
-    q = 2 and (d, q) = (2, 4) return their closed forms; there the Bessel
-    integral below diverges and the decay law carries an extra factor (see
-    ``scaling_law``).  Every other pair evaluates
+    The pairs of ``closed_form_law`` return their closed forms; there the
+    Bessel integral below diverges and the decay law carries an extra
+    factor.  Every other pair evaluates
 
         pref * int_0^inf J_nu(psi)^q psi^(-q*nu + d - 1) dpsi,
         nu = d/2 - 1,  pref = (2^nu * Gamma(nu+1))^q,
@@ -135,20 +132,15 @@ def asymptotic_constant(
         raise ValueError(f"asymptotic constant undefined for q < 2, got q={q}")
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
-    if q == 2:
-        return closed_form_c2(d)
-    if (d, q) == (2, 4):
-        return _C42
+    law = closed_form_law(q, d)
+    if law is not None:
+        return law.constant
     nu = 0.5 * d - 1.0
     pref = (2.0**nu * math.gamma(nu + 1.0)) ** q
     a = -q * nu + d - 1.0
     zeros = _bessel_zeros(nu, max_zeros)
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_chunk)
     edges = np.concatenate([[0.0], zeros])
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
-    x = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * wg + np.zeros_like(lo)
+    x, w = _gauss_legendre_panels(edges, _CHUNK_NODES)
     j = bessel_j(nu, x.ravel()).reshape(x.shape)
     chunks = np.sum(w * pref * j**q * x**a, axis=1)
     seq = np.cumsum(chunks)
@@ -179,20 +171,31 @@ class ScalingLaw:
     constant: float | None
 
 
+def closed_form_law(q: int, d: int) -> ScalingLaw | None:
+    """Decay law of the pairs whose constant has a closed form, None for
+    every other pair: q = 2, where the bare integral decays like
+    c / ell^(d-1) with c = (d-1)! mu_d / (4 mu_{d-1}), and (q, d) = (4, 2),
+    where ell^2 I grows like (3 / (2 pi^2)) log(ell)."""
+    if q == 2:
+        c2 = math.factorial(d - 1) * sphere_measure(d) / (4.0 * sphere_measure(d - 1))
+        return ScalingLaw(Fraction(-(d - 1)), 0, c2)
+    if (d, q) == (2, 4):
+        return ScalingLaw(Fraction(-2), 1, _C42)
+    return None
+
+
 def scaling_law(q: int, d: int) -> ScalingLaw:
     """Decay law selected solely by (d, q); constants filled when known.
 
-    For q = 2 the *bare* integral decays like c / ell^(d-1) with
-    c = (d-1)! mu_d / (4 mu_{d-1}); the variance of the order-2 projection
-    then carries the additional 2 * q! * mu_d * mu_{d-1} factor (see
-    ``projection_variance``), which is verified numerically in the tests.
+    Closed-form pairs as in ``closed_form_law`` (the order-2 projection
+    variance then carries a further 2 * q! * mu_d * mu_{d-1}, see
+    ``projection_variance``); every other pair decays like ell^(-d).
     """
     if q < 2 or d < 2:
         raise ValueError(f"scaling law needs q >= 2 and d >= 2, got {(q, d)}")
-    if q == 2:
-        return ScalingLaw(Fraction(-(d - 1)), 0, closed_form_c2(d))
-    if (d, q) == (2, 4):
-        return ScalingLaw(Fraction(-2), 1, _C42)
+    law = closed_form_law(q, d)
+    if law is not None:
+        return law
     try:
         c = asymptotic_constant(q, d)
     except NonConvergedError:

@@ -8,15 +8,13 @@ against closed forms and scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GegenbauerSpec",
-    "Multipole",
     "gegenbauer_eval",
-    "gegenbauer_batch",
     "hermite_eval",
     "bessel_j",
     "gauss_pdf_cdf",
@@ -26,17 +24,12 @@ __all__ = [
 # |t| may exceed 1 by at most this much (roundoff from inner products).
 _T_TOL = 1e-12
 
-# Power series below, large-argument evaluation above.  Accuracy at the
-# seam is measured in tests/test_specfun.py; see also the module-level
-# notes in BESSEL_SEAM_NOTE.
+# Integer orders: power series below, large-argument evaluation above.
+# The measured absolute error (tests/test_specfun.py) is <= 1e-12 away from
+# the seam and <= 2e-12 in the band 11 < x < 15, where the asymptotic
+# series bottoms out near exp(-2x).  Half-integer orders use closed trig
+# forms, except x <= 1 where the series is exact instead.
 _BESSEL_SWITCH = 12.0
-
-BESSEL_SEAM_NOTE = (
-    "integer orders switch series -> asymptotic at x=12: measured absolute "
-    "error is <=1e-12 away from the seam and <=2e-12 in the band 11<x<15 "
-    "(the asymptotic series bottoms out near exp(-2x)); half-integer orders "
-    "use closed trig forms except x<1 where the series is exact instead."
-)
 
 
 def sphere_measure(d: int) -> float:
@@ -46,43 +39,9 @@ def sphere_measure(d: int) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
 
 
-def _jacobi_normalizer(ell: int, d: int) -> float:
-    """binomial(ell + d/2 - 1, ell); generalized via log-Gamma for odd d."""
-    if d % 2 == 0:
-        return float(math.comb(ell + d // 2 - 1, ell))
-    # odd d: Gamma(ell + d/2) / (Gamma(ell + 1) * Gamma(d/2)), kept in log
-    # space so large ell cannot overflow
-    return math.exp(
-        math.lgamma(ell + d / 2) - math.lgamma(ell + 1) - math.lgamma(d / 2)
-    )
-
-
 @dataclass(frozen=True)
 class GegenbauerSpec:
-    """Degree/dimension pair for the normalized covariance polynomial.
-
-    ``alpha`` is the value of the underlying Jacobi polynomial at 1, i.e.
-    the normalization constant making the kernel equal 1 at argument 1.
-    """
-
-    ell: int
-    d: int
-    alpha: float = field(init=False)
-
-    def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError(f"degree must be >= 0, got {self.ell}")
-        if self.d < 2:
-            raise ValueError(f"sphere dimension must be >= 2, got {self.d}")
-        object.__setattr__(self, "alpha", _jacobi_normalizer(self.ell, self.d))
-
-    def __call__(self, t):
-        return gegenbauer_eval(self, t)
-
-
-@dataclass(frozen=True)
-class Multipole:
-    """Multipole index with its Laplace-Beltrami eigenvalue l*(l+d-1)."""
+    """Degree/dimension pair for the normalized covariance polynomial."""
 
     ell: int
     d: int
@@ -92,14 +51,6 @@ class Multipole:
             raise ValueError(f"degree must be >= 0, got {self.ell}")
         if self.d < 2:
             raise ValueError(f"sphere dimension must be >= 2, got {self.d}")
-
-    @property
-    def eigenvalue(self) -> int:
-        return self.ell * (self.ell + self.d - 1)
-
-    @property
-    def parity(self) -> str:
-        return "even" if self.ell % 2 == 0 else "odd"
 
 
 def _check_argument(t: np.ndarray) -> np.ndarray:
@@ -154,65 +105,42 @@ def gegenbauer_eval(spec: GegenbauerSpec, t):
 
 def gegenbauer_eval_many(ell: int, d: int, t: np.ndarray) -> np.ndarray:
     """Degree-ell values on an array of arguments (quadrature fast path)."""
+    if ell < 0:
+        raise ValueError(f"degree must be >= 0, got {ell}")
     return _jacobi_ratio_last(ell, d, _check_argument(np.asarray(t, dtype=float)))
 
 
-def gegenbauer_batch(spec_max: GegenbauerSpec, t: float) -> np.ndarray:
-    """All degrees 0..ell at a single argument, one recurrence pass."""
-    tt = float(_check_argument(np.asarray(t, dtype=float)))
-    ell, d = spec_max.ell, spec_max.d
-    a = d / 2.0 - 1.0
-    s = 2.0 * a
-    out = np.empty(ell + 1)
-    out[0] = 1.0
-    if ell == 0:
-        return out
-    p_prev, p_curr = 1.0, (a + 1.0) * tt
-    one_prev, one_curr = 1.0, a + 1.0
-    out[1] = p_curr / one_curr
-    for n in range(2, ell + 1):
-        c1 = 2.0 * n * (n + s) * (2.0 * n + s - 2.0)
-        c2 = (2.0 * n + s - 1.0) * (2.0 * n + s) * (2.0 * n + s - 2.0)
-        c3 = 2.0 * (n + a - 1.0) ** 2 * (2.0 * n + s)
-        p_prev, p_curr = p_curr, (c2 * tt * p_curr - c3 * p_prev) / c1
-        one_prev, one_curr = one_curr, (c2 * one_curr - c3 * one_prev) / c1
-        out[n] = p_curr / one_curr
-        if one_curr > 1e290:
-            p_prev /= one_curr
-            p_curr /= one_curr
-            one_prev /= one_curr
-            one_curr = 1.0
-    return out
-
-
-def hermite_eval(q: int, t):
-    """Probabilists' Hermite H_q via H_{q+1} = t H_q - q H_{q-1}.
+def _hermite_rows(qmax: int, arr: np.ndarray):
+    """Probabilists' Hermite H_0..H_qmax at arr, one at a time, via
+    H_{k+1} = t H_k - k H_{k-1}.
 
     No scaling is applied; q stays small (<= ~12) in every experiment so
     the values remain well inside double range.
     """
+    h_prev = np.ones_like(arr)
+    yield h_prev
+    if qmax == 0:
+        return
+    h_curr = arr.copy()
+    yield h_curr
+    for k in range(1, qmax):
+        h_prev, h_curr = h_curr, arr * h_curr - k * h_prev
+        yield h_curr
+
+
+def hermite_eval(q: int, t):
+    """Probabilists' Hermite H_q at t (scalar or array)."""
     if q < 0:
         raise ValueError(f"Hermite order must be >= 0, got {q}")
     arr = np.asarray(t, dtype=float)
-    h_prev = np.ones_like(arr)
-    if q == 0:
-        return float(h_prev) if arr.ndim == 0 else h_prev
-    h_curr = arr.copy()
-    for k in range(1, q):
-        h_prev, h_curr = h_curr, arr * h_curr - k * h_prev
-    return float(h_curr) if arr.ndim == 0 else h_curr
+    for h in _hermite_rows(q, arr):
+        pass
+    return float(h) if arr.ndim == 0 else h
 
 
 def hermite_ladder(qmax: int, t: np.ndarray) -> np.ndarray:
     """H_0..H_qmax stacked along axis 0 (single pass, shared by expansions)."""
-    arr = np.asarray(t, dtype=float)
-    out = np.empty((qmax + 1,) + arr.shape)
-    out[0] = 1.0
-    if qmax >= 1:
-        out[1] = arr
-    for k in range(1, qmax):
-        out[k + 1] = arr * out[k] - k * out[k - 1]
-    return out
+    return np.array(list(_hermite_rows(qmax, np.asarray(t, dtype=float))))
 
 
 def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:

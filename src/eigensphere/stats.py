@@ -29,6 +29,7 @@ __all__ = [
     "ks_distance",
     "w1_distance",
     "empirical_cum4",
+    "variance_stderr",
     "rate_fit",
 ]
 
@@ -87,10 +88,9 @@ class EnsembleSummary:
     ks_to_normal: float | None
     w1_to_normal: float | None
     cum4: float | None
-    seed: int
 
 
-def default_resolution(d: int, kind: str, ell: int, q: int | None = None) -> int:
+def default_resolution(d: int, kind: str, ell: int, q: int = 2) -> int:
     """Grid resolution rule used when a run does not pin one.
 
     Indicator functionals on S^2 are bias-limited by nodal-boundary
@@ -105,8 +105,7 @@ def default_resolution(d: int, kind: str, ell: int, q: int | None = None) -> int
         return max(64, 6 * ell)
     if kind == "excursion":
         return max(64, 2 * ell)
-    order = q if q is not None else 2
-    return max(64, (order * ell) // 2 + 8)
+    return max(64, (q * ell) // 2 + 8)
 
 
 _GRID_CACHE: dict[tuple[int, int], SphereGrid] = {}
@@ -123,10 +122,10 @@ def shared_grid(d: int, resolution: int) -> SphereGrid:
 
 def _apply(spec: ExperimentSpec, sample):
     if spec.functional == "excursion":
-        return excursion_volume(sample, spec.z).value
+        return excursion_volume(sample, spec.z)
     if spec.functional == "defect":
-        return defect(sample).value
-    return hermite_projection(sample, spec.q).value
+        return defect(sample)
+    return hermite_projection(sample, spec.q)
 
 
 def run_ensemble(spec: ExperimentSpec, replicates: int, master_seed: int) -> EnsembleSummary:
@@ -155,7 +154,6 @@ def run_ensemble(spec: ExperimentSpec, replicates: int, master_seed: int) -> Ens
         ks_to_normal=ks_distance(standardized) if enough else None,
         w1_to_normal=w1_distance(standardized) if enough else None,
         cum4=empirical_cum4(values) if enough else None,
-        seed=master_seed,
     )
 
 
@@ -183,16 +181,27 @@ def w1_distance(standardized) -> float:
     return float(np.mean(np.abs(x - quantiles)))
 
 
+def _central_moments(x: np.ndarray) -> tuple[float, float]:
+    """Central moments (m2, m4) of the sample."""
+    c = x - x.mean()
+    return float(np.mean(c * c)), float(np.mean(c**4))
+
+
 def empirical_cum4(values) -> float:
     """Fourth cumulant m4 - 3 m2^2 of the centered sample (plain plug-in
     moments, no bias correction)."""
     x = np.asarray(values, dtype=float)
     if len(x) < MIN_DISTANCE_SAMPLES:
         raise TooFewSamplesError(f"need >= {MIN_DISTANCE_SAMPLES} samples, got {len(x)}")
-    c = x - x.mean()
-    m2 = float(np.mean(c * c))
-    m4 = float(np.mean(c**4))
+    m2, m4 = _central_moments(x)
     return m4 - 3.0 * m2 * m2
+
+
+def variance_stderr(values) -> float:
+    """Asymptotic standard error of the sample variance, sqrt((m4 - m2^2)/n)."""
+    x = np.asarray(values, dtype=float)
+    m2, m4 = _central_moments(x)
+    return math.sqrt(max(m4 - m2 * m2, 0.0) / len(x))
 
 
 def rate_fit(pairs) -> dict:

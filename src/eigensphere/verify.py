@@ -14,31 +14,20 @@ import numpy as np
 
 from .moments import asymptotic_constant, moment_integral
 from .specfun import GegenbauerSpec, gauss_pdf_cdf, gegenbauer_eval, sphere_measure
-from .stats import ExperimentSpec, rate_fit, run_ensemble
+from .stats import ExperimentSpec, rate_fit, run_ensemble, variance_stderr
 
 MASTER_SEED = 221
 
-_C42 = 3.0 / (2.0 * math.pi**2)
 _DEFECT_LOWER = 32.0 / math.sqrt(27.0)
 
 _ENSEMBLES: dict = {}
 
 
 def _ensemble(d, ell, kind, res, reps, seed, z=None, q=None):
-    key = (d, ell, kind, z, q, res, reps, seed)
+    key = (ExperimentSpec(d, ell, kind, res, z=z, q=q), reps, seed)
     if key not in _ENSEMBLES:
-        spec = ExperimentSpec(d, ell, kind, res, z=z, q=q)
-        _ENSEMBLES[key] = run_ensemble(spec, reps, seed)
+        _ENSEMBLES[key] = run_ensemble(*key)
     return _ENSEMBLES[key]
-
-
-def _var_se(values) -> float:
-    """Asymptotic standard error of a sample variance."""
-    n = len(values)
-    c = values - values.mean()
-    m2 = float(np.mean(c * c))
-    m4 = float(np.mean(c**4))
-    return math.sqrt(max(m4 - m2 * m2, 0.0) / n)
 
 
 def check_gegenbauer_closed_forms():
@@ -115,18 +104,19 @@ def check_log_case_constant():
     stays visible.
     """
     t0 = time.perf_counter()
+    target = asymptotic_constant(4, 2)  # the closed form 3/(2 pi^2)
     ells = np.array([128.0, 256.0, 512.0, 1024.0])
     scaled = np.array([moment_integral(int(ell), 4, 2) * ell**2 for ell in ells])
     design = np.column_stack([np.log(ells), np.ones_like(ells), 1.0 / ells])
     (c, b, _), *_ = np.linalg.lstsq(design, scaled, rcond=None)
-    rel = abs(float(c) - _C42) / _C42
+    rel = abs(float(c) - target) / target
     bare = float(scaled[-1]) / math.log(ells[-1])
     elapsed = time.perf_counter() - t0
     ok = rel <= 0.15 and elapsed < 60.0
     return ok, (
-        f"fitted C = {c:.6f}, target = {_C42:.6f}, rel dev = {rel:.2%} (tol 15%); "
+        f"fitted C = {c:.6f}, target = {target:.6f}, rel dev = {rel:.2%} (tol 15%); "
         f"fitted B = {b:.4f}; bare l^2 I / log l at 1024 = {bare:.6f} "
-        f"({abs(bare - _C42) / _C42:.1%} off), {elapsed:.1f}s (< 60s)"
+        f"({abs(bare - target) / target:.1%} off), {elapsed:.1f}s (< 60s)"
     )
 
 
@@ -156,7 +146,7 @@ def check_projection_variance_mc():
     t0 = time.perf_counter()
     target = 32.0 * math.pi**2 / 21.0
     s = _ensemble(2, 10, "projection", 64, 5000, MASTER_SEED, q=2)
-    se = _var_se(s.values)
+    se = variance_stderr(s.values)
     dev = abs(s.variance - target)
     elapsed = time.perf_counter() - t0
     ok = dev <= 3.0 * se and elapsed < 120.0

@@ -83,6 +83,45 @@ def test_exit_code_io_error(tmp_path):
     assert out.returncode == 4
 
 
+@pytest.mark.parametrize(
+    "args", [("clt", "--d", "3", "--ell", "-1"), ("clt", "--d", "2", "--ell", "-2"), ("simulate", "--ell", "-1")]
+)
+def test_negative_degree_is_config_error(args):
+    out = invoke(*args)
+    assert out.returncode == 2
+    assert "degrees must be >= 0" in out.stderr
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"not valid JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(command="constants", q=3),
+        dict(command="moments", q=4, ell_list=[7, 8]),
+        dict(command="simulate", ell_list=[3]),
+        dict(command="clt", ell_list=[7, 8]),
+        dict(command="excursion", ell_list=[7, 8]),
+        dict(command="defect", ell_list=[5]),
+    ],
+    ids=lambda o: o["command"],
+)
+def test_json_output_is_strict(tmp_path, overrides):
+    path = tmp_path / "out.json"
+    text = run(RunConfig(replicates=10, grid_resolution=16, output=str(path), fmt="json", **overrides))
+    rows = _strict_json(path.read_text())
+    assert path.read_text() == text and len(rows) >= 1
+    if overrides["command"] == "excursion":
+        # no analytic expansion variance at odd degrees: null, not NaN
+        assert rows[0]["expansion_variance"] is None
+        assert isinstance(rows[1]["expansion_variance"], float)
+
+
 def test_unknown_command_exits_2():
     out = invoke("frobnicate")
     assert out.returncode == 2
@@ -95,6 +134,8 @@ def test_run_config_validation():
         run(RunConfig(command="moments", d=1))
     with pytest.raises(ConfigError):
         run(RunConfig(command="moments", fmt="yaml"))
+    with pytest.raises(ConfigError):
+        run(RunConfig(command="moments", ell_list=[-1, 4]))
 
 
 def test_defect_command_schema(tmp_path):
@@ -103,7 +144,8 @@ def test_defect_command_schema(tmp_path):
                  "--grid-resolution", "96", "--seed", "3", "--out", str(path))
     assert out.returncode == 0
     row = list(csv.DictReader(path.read_text().splitlines()))[0]
-    assert float(row["value"]) == pytest.approx(16**2 * float(row["value"]) / 256.0)
+    # value is ell^2 Var and mean_stderr is sqrt(Var / replicates)
+    assert float(row["value"]) == pytest.approx(16**2 * 200 * float(row["mean_stderr"]) ** 2, rel=1e-12)
     assert float(row["stderr"]) > 0
     scaled = float(row["value"])
     assert scaled > 32.0 / math.sqrt(27.0)

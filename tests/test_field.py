@@ -41,8 +41,8 @@ def test_quasi_uniform_grid():
     assert np.max(np.abs(np.linalg.norm(g.nodes, axis=1) - 1.0)) < 1e-12
     # quasi-uniformity sanity: the kernel mean over nodes approximates the
     # analytic mean 0 of the degree-2 covariance
-    tau = g.geodesic_from(g.nodes[0])
-    val = np.sum(g.weights * gegenbauer_eval(GegenbauerSpec(2, 3), np.cos(tau)))
+    cos_tau = np.clip(g.nodes @ g.nodes[0], -1.0, 1.0)
+    val = np.sum(g.weights * gegenbauer_eval(GegenbauerSpec(2, 3), cos_tau))
     assert abs(val) < 0.05
 
 
@@ -53,16 +53,10 @@ def test_grid_validation():
         build_grid(1, 16)
 
 
-def test_geodesic_range(grid64):
-    tau = grid64.geodesic_from(np.array([0.0, 0.0, 1.0]))
-    assert tau.min() >= 0.0 and tau.max() <= math.pi
-
-
 def test_quadrature_exactness(grid64):
     # eigenfunctions have zero mean; Gauss-Legendre integrates the degree-4
-    # kernel exactly
-    tau = grid64.geodesic_from(np.array([0.0, 0.0, 1.0]))
-    val = np.sum(grid64.weights * gegenbauer_eval(GegenbauerSpec(4, 2), np.cos(tau)))
+    # kernel exactly; the cosine of the distance to the north pole is z
+    val = np.sum(grid64.weights * gegenbauer_eval(GegenbauerSpec(4, 2), grid64.nodes[:, 2]))
     assert abs(val) < 1e-9
 
 
@@ -266,6 +260,16 @@ def test_simulate_dispatch(grid64):
     assert simulate(4, g3, 5).values.shape == (g3.size,)
     with pytest.raises(ValueError):
         simulate_s2(4, g3, 5)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_simulate_rejects_negative_degree(d):
+    grid = build_grid(d, 12)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        simulate(-1, grid, 0)
+    if d == 3:  # the dense route's kernel refuses it too, for direct callers
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            simulate_sd(-1, grid, 0)
 
 
 # ---------------------------------------------------------------- binary dump

@@ -68,21 +68,15 @@ def test_chaos_coefficients_validation():
 
 # ------------------------------------------------------------------ excursion
 def test_excursion_extremes(sample):
-    assert excursion_volume(sample, -10.0).value == pytest.approx(MU2, abs=1e-9)
-    assert excursion_volume(sample, 10.0).value == 0.0
-
-
-def test_excursion_centering(sample):
-    fv = excursion_volume(sample, 1.0)
-    assert fv.kind == "excursion" and fv.param == 1.0
-    assert fv.centered == pytest.approx(fv.value - MU2 * (1.0 - gauss_pdf_cdf(1.0)[1]))
+    assert excursion_volume(sample, -10.0) == pytest.approx(MU2, abs=1e-9)
+    assert excursion_volume(sample, 10.0) == 0.0
 
 
 def test_excursion_mean_small_ensemble(grid):
     reps = 500
     target = MU2 * (1.0 - gauss_pdf_cdf(1.0)[1])
     vals = np.array(
-        [excursion_volume(simulate_s2(8, grid, replicate_seed(2, r)), 1.0).value for r in range(reps)]
+        [excursion_volume(simulate_s2(8, grid, replicate_seed(2, r)), 1.0) for r in range(reps)]
     )
     assert abs(vals.mean() - target) <= 3.0 * vals.std(ddof=1) / math.sqrt(reps)
 
@@ -93,15 +87,14 @@ def test_excursion_mean_small_ensemble(grid):
 @example(seed=0, z=-3.0)
 @example(seed=37063921, z=-2.0)
 def test_excursion_range(grid, seed, z):
-    fv = excursion_volume(simulate_s2(6, grid, seed), z)
-    assert 0.0 <= fv.value <= MU2
+    assert 0.0 <= excursion_volume(simulate_s2(6, grid, seed), z) <= MU2
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_excursion_monotone_in_level(grid, seed):
     s = simulate_s2(6, grid, seed)
-    ladder = [excursion_volume(s, z).value for z in np.linspace(-3.5, 3.5, 29)]
+    ladder = [excursion_volume(s, z) for z in np.linspace(-3.5, 3.5, 29)]
     assert all(b <= a for a, b in zip(ladder, ladder[1:]))
 
 
@@ -110,14 +103,13 @@ def test_defect_identity(sample):
     d = defect(sample)
     e0 = excursion_volume(sample, 0.0)
     assert np.all(sample.values != 0.0)
-    assert d.value == pytest.approx(2.0 * e0.value - MU2, abs=1e-12)
-    assert abs(d.value) <= MU2
-    assert d.centered == d.value
+    assert d == pytest.approx(2.0 * e0 - MU2, abs=1e-12)
+    assert abs(d) <= MU2
 
 
 def test_defect_mean_zero(grid):
     reps = 600
-    vals = np.array([defect(simulate_s2(8, grid, replicate_seed(4, r))).value for r in range(reps)])
+    vals = np.array([defect(simulate_s2(8, grid, replicate_seed(4, r))) for r in range(reps)])
     assert abs(vals.mean()) <= 3.0 * vals.std(ddof=1) / math.sqrt(reps)
 
 
@@ -127,13 +119,13 @@ def test_defect_zero_nodes_contribute_nothing(grid):
     forced[:100] = 0.0
     patched = type(s)(s.grid, forced, s.ell, s.seed)
     expected = float(np.sum(grid.weights[100:] * np.sign(forced[100:])))
-    assert defect(patched).value == pytest.approx(expected, abs=1e-14)
+    assert defect(patched) == pytest.approx(expected, abs=1e-14)
 
 
 # ---------------------------------------------------------------- projections
 def test_projection_base_cases(sample):
-    assert hermite_projection(sample, 0).value == pytest.approx(MU2, rel=1e-15)
-    assert abs(hermite_projection(sample, 1).value) < 1e-10
+    assert hermite_projection(sample, 0) == pytest.approx(MU2, rel=1e-15)
+    assert abs(hermite_projection(sample, 1)) < 1e-10
     with pytest.raises(ValueError):
         hermite_projection(sample, -1)
 
@@ -141,7 +133,7 @@ def test_projection_base_cases(sample):
 def test_projection_variance_matches_formula(grid):
     reps = 3000
     vals = np.array(
-        [hermite_projection(simulate_s2(10, grid, replicate_seed(6, r)), 2).value for r in range(reps)]
+        [hermite_projection(simulate_s2(10, grid, replicate_seed(6, r)), 2) for r in range(reps)]
     )
     target = projection_variance(10, 2, 2)
     se = vals.var(ddof=1) * math.sqrt(2.0 / reps) * 2.0  # generous band
@@ -151,14 +143,14 @@ def test_projection_variance_matches_formula(grid):
 # ------------------------------------------------------------------- generic
 def test_generic_single_term(sample):
     coeffs = ChaosCoefficients((0.0, 0.0, 2.0, 0.0))
-    assert generic_functional(sample, coeffs).value == pytest.approx(
-        hermite_projection(sample, 2).value, rel=1e-12
+    assert generic_functional(sample, coeffs) == pytest.approx(
+        hermite_projection(sample, 2), rel=1e-12
     )
 
 
 def test_generic_rank_one_vanishes(sample):
     coeffs = ChaosCoefficients((0.0, 1.0, 0.0, 0.0))
-    assert abs(generic_functional(sample, coeffs).value) < 1e-10
+    assert abs(generic_functional(sample, coeffs)) < 1e-10
 
 
 def test_generic_rank_undefined(sample):
@@ -170,13 +162,14 @@ def test_expansion_tracks_excursion(grid):
     # truncated expansion of the level-1 indicator correlates > 0.99 with
     # the centered excursion volume at degree 32
     coeffs = indicator_coeffs(1.0, 8)
+    mean = MU2 * (1.0 - gauss_pdf_cdf(1.0)[1])
     reps = 400
     direct = np.empty(reps)
     expanded = np.empty(reps)
     for r in range(reps):
         s = simulate_s2(32, grid, replicate_seed(9, r))
-        direct[r] = excursion_volume(s, 1.0).centered
-        expanded[r] = generic_functional(s, coeffs).value
+        direct[r] = excursion_volume(s, 1.0) - mean
+        expanded[r] = generic_functional(s, coeffs)
     corr = np.corrcoef(direct, expanded)[0, 1]
     assert corr > 0.99
 
@@ -189,7 +182,7 @@ def test_expansion_l2_error_within_tail_bound():
     fine = build_grid(2, 384)
     coeffs = indicator_coeffs(1.0, 8)
     ell, reps = 32, 400
-    pdf1 = gauss_pdf_cdf(1.0)[0]
+    pdf1, cdf1 = gauss_pdf_cdf(1.0)
     tail = sum(
         (hermite_eval(q - 1, 1.0) * pdf1) ** 2
         * projection_variance(ell, q, 2)
@@ -199,6 +192,6 @@ def test_expansion_l2_error_within_tail_bound():
     errs = np.empty(reps)
     for r in range(reps):
         s = simulate_s2(ell, fine, replicate_seed(9, r))
-        errs[r] = excursion_volume(s, 1.0).centered - generic_functional(s, coeffs).value
+        errs[r] = excursion_volume(s, 1.0) - MU2 * (1.0 - cdf1) - generic_functional(s, coeffs)
     # 2x headroom: the bound is truncated at order 16 and the MC has noise
     assert np.mean(errs**2) <= 2.0 * tail

@@ -10,7 +10,6 @@ from eigensphere.moments import (
     MomentResult,
     NonConvergedError,
     asymptotic_constant,
-    closed_form_c2,
     constant_sign_probe,
     moment_integral,
     moment_result,
@@ -94,8 +93,8 @@ def test_bad_arguments():
 def test_closed_form_constants():
     assert asymptotic_constant(2, 2) == 0.5
     assert asymptotic_constant(4, 2) == pytest.approx(C42, rel=1e-15)
-    assert closed_form_c2(3) == pytest.approx(math.pi / 4.0, rel=1e-15)
-    assert closed_form_c2(5) == pytest.approx(
+    assert asymptotic_constant(2, 3) == pytest.approx(math.pi / 4.0, rel=1e-15)
+    assert asymptotic_constant(2, 5) == pytest.approx(
         math.factorial(4) * sphere_measure(5) / (4 * sphere_measure(4)), rel=1e-15
     )
 
@@ -154,7 +153,7 @@ def test_q2_variance_scaling():
     for d, ell, tol in ((2, 200, 0.005), (3, 64, 0.05)):
         v = projection_variance(ell, 2, d)
         scaled = ell ** (d - 1) * v / (4.0 * sphere_measure(d) * sphere_measure(d - 1))
-        assert scaled == pytest.approx(closed_form_c2(d), rel=tol)
+        assert scaled == pytest.approx(asymptotic_constant(2, d), rel=tol)
 
 
 # ----------------------------------------------------------------- scaling law

@@ -61,6 +61,10 @@ class RunConfig:
             raise ConfigError(f"need d >= 2, got {self.d}")
         if self.replicates < 2:
             raise ConfigError(f"need at least 2 replicates, got {self.replicates}")
+        if self.grid_resolution < 0 or 0 < self.grid_resolution < 4:
+            raise ConfigError(f"grid resolution must be 0 (default rule) or >= 4, got {self.grid_resolution}")
+        if self.truncation < 2:
+            raise ConfigError(f"truncation must be >= 2, got {self.truncation}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
 
@@ -257,7 +261,11 @@ def main(argv=None) -> int:
     try:
         # every other parser destination is a RunConfig field of the same name
         opts = {k: v for k, v in vars(args).items() if k not in ("verify", "ell")}
-        run(RunConfig(ell_list=[int(tok) for tok in args.ell.split(",") if tok], **opts))
+        try:
+            ell_list = [int(tok) for tok in args.ell.split(",") if tok]
+        except ValueError:
+            raise ConfigError(f"--ell must be comma-separated integers, got {args.ell!r}") from None
+        run(RunConfig(ell_list=ell_list, **opts))
     except (ConfigError, ValueError) as exc:
         # ValueError outside RunConfig.validate means a numeric-domain error
         code = 2 if isinstance(exc, ConfigError) else 3

@@ -1,10 +1,10 @@
 """Sampling of single-multipole Gaussian fields on discretized spheres.
 
-d = 2 uses exact harmonic synthesis on a product quadrature grid (cost
-O(N*ell) per draw, no covariance factorization).  d >= 3 uses a dense
-Cholesky-type factorization of the covariance matrix on a quasi-uniform
-node set, which is viable at desk scale (N <= 6000) and sidesteps
-hyperspherical harmonic recurrences entirely.
+d = 2 uses exact harmonic synthesis on a product quadrature grid, one
+inverse real FFT per ring of latitude (no covariance factorization).
+d >= 3 uses a dense Cholesky-type factorization of the covariance matrix
+on a quasi-uniform node set, which is viable at desk scale (N <= 6000)
+and sidesteps hyperspherical harmonic recurrences entirely.
 """
 from __future__ import annotations
 
@@ -86,9 +86,10 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
     """Quadrature grid on S^d.
 
     d = 2: Gauss-Legendre nodes in cos(theta) (``resolution`` of them)
-    crossed with 2*resolution uniform longitudes; weights are the GL
-    weights times 2*pi/(2*resolution).  Exact for spherical polynomials of
-    degree <= 2*resolution - 1.
+    crossed with the 2*resolution uniform longitudes 2*pi*j/(2*resolution)
+    (``simulate_s2`` synthesizes each ring by an FFT, which relies on this
+    spacing); weights are the GL weights times 2*pi/(2*resolution).  Exact
+    for spherical polynomials of degree <= 2*resolution - 1.
 
     d >= 3: Kronecker low-discrepancy sequence of resolution^2 points in
     the unit cube mapped to hyperspherical angles by inverting each
@@ -102,10 +103,10 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
         x, w = np.polynomial.legendre.leggauss(resolution)
         m = 2 * resolution
         phi = 2.0 * math.pi * np.arange(m) / m
-        sin_t = np.sqrt(1.0 - x * x)
+        sin_colat = np.sqrt(1.0 - x * x)
         nodes = np.empty((resolution * m, 3))
-        nodes[:, 0] = np.repeat(sin_t, m) * np.tile(np.cos(phi), resolution)
-        nodes[:, 1] = np.repeat(sin_t, m) * np.tile(np.sin(phi), resolution)
+        nodes[:, 0] = np.repeat(sin_colat, m) * np.tile(np.cos(phi), resolution)
+        nodes[:, 1] = np.repeat(sin_colat, m) * np.tile(np.sin(phi), resolution)
         nodes[:, 2] = np.repeat(x, m)
         weights = np.repeat(w, m) * (2.0 * math.pi / m)
         return SphereGrid(2, nodes, weights, "product", cos_colat=x, longitudes=phi)
@@ -204,19 +205,6 @@ def _legendre_table(ell: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _synthesis_tables(grid: SphereGrid, ell: int):
-    """Cached per-(grid, ell) pieces of the harmonic synthesis: the scaled
-    Legendre table and the longitude trig tables."""
-    key = ("synth", ell)
-    if key not in grid._cache:
-        a = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
-        m = np.arange(ell + 1)[:, None]
-        cos_t = np.cos(m * grid.longitudes[None, :])
-        sin_t = np.sin(m * grid.longitudes[None, :])
-        grid._cache[key] = (a, cos_t, sin_t)
-    return grid._cache[key]
-
-
 def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     """Exact harmonic synthesis of the degree-ell field on a product grid.
 
@@ -226,18 +214,24 @@ def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     theorem the node covariance is exactly the degree-ell Legendre
     polynomial of the cosine of geodesic distance, and pointwise variance
     is exactly 1.
+
+    The longitudes are 2*pi*j/(2*res), so each ring is one inverse real
+    FFT over the orders m = 0..ell; for ell >= res (the ring's Nyquist
+    order) it runs on a k-fold finer ring and keeps every k-th sample.
     """
     if grid.d != 2 or grid.kind != "product":
         raise ValueError(f"simulate_s2 needs a d=2 product grid, got d={grid.d}")
-    a, cos_t, sin_t = _synthesis_tables(grid, ell)
+    key = ("legendre", ell)
+    if key not in grid._cache:  # ring-major: one row of orders per colatitude
+        table = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
+        grid._cache[key] = np.ascontiguousarray(table.T)
+    k = ell // len(grid.cos_colat) + 1
+    n = k * len(grid.longitudes)
     g = _rng_for(seed).standard_normal(2 * ell + 1)
-    gc = np.empty(ell + 1)
-    gs = np.zeros(ell + 1)
-    gc[0] = g[0]
-    if ell >= 1:
-        gc[1:] = g[1::2]
-        gs[1:] = g[2::2]
-    values = ((a * gc[:, None]).T @ cos_t + (a * gs[:, None]).T @ sin_t).ravel()
+    coef = np.empty(ell + 1, dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
+    coef[0] = n * g[0]
+    coef[1:] = (0.5 * n) * (g[1::2] - 1j * g[2::2])
+    values = np.fft.irfft(grid._cache[key] * coef, n=n)[:, ::k].ravel()
     return FieldSample(grid, values, ell, seed)
 
 

@@ -66,28 +66,34 @@ def _jacobi_ratio_last(ell: int, d: int, t: np.ndarray) -> np.ndarray:
 
     The value at 1 is carried through the same recurrence (not taken from
     the binomial formula), so the ratio is exactly 1 at t = 1 regardless
-    of any Gamma-function error for odd d.  Rolling storage: only the two
-    previous degrees are kept, which lets the moment quadratures evaluate
-    tens of thousands of nodes without materializing all degrees.
+    of any Gamma-function error for odd d.  Rolling storage: three rows,
+    updated in place, which lets the moment quadratures evaluate tens of
+    thousands of nodes without materializing all degrees or allocating
+    per step.
     """
     a = d / 2.0 - 1.0
     if ell == 0:
         return np.ones_like(t)
     p_prev = np.ones_like(t)
     p_curr = (a + 1.0) * t
+    p_next = np.empty_like(p_curr)
     one_prev, one_curr = 1.0, a + 1.0
     s = 2.0 * a
     for n in range(2, ell + 1):
         c1 = 2.0 * n * (n + s) * (2.0 * n + s - 2.0)
         c2 = (2.0 * n + s - 1.0) * (2.0 * n + s) * (2.0 * n + s - 2.0)
         c3 = 2.0 * (n + a - 1.0) ** 2 * (2.0 * n + s)
-        p_next = (c2 * t * p_curr - c3 * p_prev) / c1
+        np.multiply(c2, t, out=p_next)
+        p_next *= p_curr
+        p_prev *= c3
+        p_next -= p_prev
+        p_next /= c1  # = (c2 * t * p_curr - c3 * p_prev) / c1, in the same order
         one_next = (c2 * one_curr - c3 * one_prev) / c1
-        p_prev, p_curr = p_curr, p_next
+        p_prev, p_curr, p_next = p_curr, p_next, p_prev
         one_prev, one_curr = one_curr, one_next
         if one_curr > 1e290:  # rescale both rows; the recurrence is linear
-            p_prev = p_prev / one_curr
-            p_curr = p_curr / one_curr
+            p_prev /= one_curr
+            p_curr /= one_curr
             one_prev = one_prev / one_curr
             one_curr = 1.0
     return p_curr / one_curr

@@ -92,6 +92,22 @@ def test_negative_degree_is_config_error(args):
     assert "degrees must be >= 0" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("clt", "--ell", "8", "--reps", "2", "--grid-resolution", "3"), "grid resolution must be"),
+        (("clt", "--ell", "8", "--reps", "2", "--grid-resolution", "-5"), "grid resolution must be"),
+        (("excursion", "--ell", "8", "--reps", "2", "--Q", "1"), "truncation must be >= 2"),
+        (("moments", "--ell", "8,abc"), "--ell must be comma-separated integers"),
+    ],
+    ids=["resolution-3", "resolution-negative", "truncation-1", "ell-not-integer"],
+)
+def test_out_of_range_option_is_config_error(args, message):
+    out = invoke(*args)
+    assert out.returncode == 2
+    assert message in out.stderr
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"not valid JSON: {token}")
@@ -136,6 +152,10 @@ def test_run_config_validation():
         run(RunConfig(command="moments", fmt="yaml"))
     with pytest.raises(ConfigError):
         run(RunConfig(command="moments", ell_list=[-1, 4]))
+    for bad in (dict(grid_resolution=-1), dict(grid_resolution=3), dict(truncation=1)):
+        with pytest.raises(ConfigError):
+            run(RunConfig(command="clt", replicates=2, **bad))
+    RunConfig(command="clt", grid_resolution=4, truncation=2).validate()
 
 
 def test_defect_command_schema(tmp_path):

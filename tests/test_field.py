@@ -9,7 +9,7 @@ from eigensphere.field import (
     GridTooLargeError,
     _dense_factor,
     _legendre_table,
-    _synthesis_tables,
+    _rng_for,
     build_grid,
     dump_field,
     load_field,
@@ -70,25 +70,39 @@ def test_legendre_table_addition_theorem():
         )
 
 
+def _direct_rows(ell, grid):
+    """Real harmonic basis at every node by the direct sum over orders: the
+    Legendre table times cos/sin of m phi, in the coefficient order of
+    simulate_s2 (g[0], then the cos/sin pair of each order m)."""
+    a = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
+    mphi = np.arange(1, ell + 1)[:, None] * grid.longitudes[None, :]
+    rows = np.empty((2 * ell + 1, len(grid.cos_colat), len(grid.longitudes)))
+    rows[0] = a[0][:, None]
+    rows[1::2] = a[1:, :, None] * np.cos(mphi)[:, None, :]
+    rows[2::2] = a[1:, :, None] * np.sin(mphi)[:, None, :]
+    return rows.reshape(2 * ell + 1, -1)
+
+
 def test_synthesis_covariance_is_exact(grid64):
     # dot products of synthesis rows must reproduce the covariance kernel
     ell = 8
-    a, cos_t, sin_t = _synthesis_tables(grid64, ell)
-    m = len(grid64.longitudes)
-
-    def row(node):
-        i, j = divmod(node, m)
-        parts = [a[0, i]]
-        for mm in range(1, ell + 1):
-            parts += [a[mm, i] * cos_t[mm, j], a[mm, i] * sin_t[mm, j]]
-        return np.array(parts)
-
+    rows = _direct_rows(ell, grid64)
     rng = np.random.default_rng(3)
     spec = GegenbauerSpec(ell, 2)
     for _ in range(25):
         n1, n2 = rng.integers(0, grid64.size, 2)
         target = gegenbauer_eval(spec, float(np.clip(grid64.nodes[n1] @ grid64.nodes[n2], -1, 1)))
-        assert row(n1) @ row(n2) == pytest.approx(target, abs=1e-12)
+        assert rows[:, n1] @ rows[:, n2] == pytest.approx(target, abs=1e-12)
+
+
+@pytest.mark.parametrize("ell, res", [(8, 64), (12, 12), (13, 12), (40, 12)])
+def test_fft_synthesis_matches_direct_sum(ell, res):
+    # k = ell // res + 1 is 1, 2 (ell = res is the ring's Nyquist order), 2 and 4
+    grid = build_grid(2, res)
+    for seed in (0, 11):
+        g = _rng_for(seed).standard_normal(2 * ell + 1)
+        direct = g @ _direct_rows(ell, grid)
+        np.testing.assert_allclose(simulate_s2(ell, grid, seed).values, direct, rtol=0, atol=1e-12)
 
 
 def test_seed_determinism(grid64):

@@ -18,6 +18,7 @@ from eigensphere.specfun import (
     sphere_measure,
 )
 from eigensphere.moments import _bessel_zeros
+from eigensphere.specfun import _jacobi_ratio_last
 
 
 # ---------------------------------------------------------------- gegenbauer
@@ -31,6 +32,36 @@ def test_normalization_at_one(ell, d):
 def test_normalization_sweep_all_degrees(d):
     values = np.array([gegenbauer_eval(GegenbauerSpec(ell, d), 1.0) for ell in range(201)])
     assert np.max(np.abs(values - 1.0)) <= 1e-12
+
+
+def _jacobi_ratio_out_of_place(ell, d, t):
+    """The degree recurrence with fresh arrays at every step: the reference
+    for the in-place rows of _jacobi_ratio_last."""
+    a = d / 2.0 - 1.0
+    if ell == 0:
+        return np.ones_like(t)
+    p_prev, p_curr = np.ones_like(t), (a + 1.0) * t
+    one_prev, one_curr = 1.0, a + 1.0
+    s = 2.0 * a
+    for n in range(2, ell + 1):
+        c1 = 2.0 * n * (n + s) * (2.0 * n + s - 2.0)
+        c2 = (2.0 * n + s - 1.0) * (2.0 * n + s) * (2.0 * n + s - 2.0)
+        c3 = 2.0 * (n + a - 1.0) ** 2 * (2.0 * n + s)
+        p_prev, p_curr = p_curr, (c2 * t * p_curr - c3 * p_prev) / c1
+        one_prev, one_curr = one_curr, (c2 * one_curr - c3 * one_prev) / c1
+        if one_curr > 1e290:
+            p_prev, p_curr = p_prev / one_curr, p_curr / one_curr
+            one_prev, one_curr = one_prev / one_curr, 1.0
+    return p_curr / one_curr
+
+
+# (600, 1200) passes through the 1e290 rescale
+@pytest.mark.parametrize("ell, d", [(e, d) for d in (2, 3, 5) for e in (0, 1, 2, 17, 200)] + [(600, 1200)])
+def test_in_place_recurrence_is_byte_identical(ell, d):
+    t = np.concatenate([np.linspace(-1.0, 1.0, 1001), np.random.default_rng(ell + d).uniform(-1, 1, 500)])
+    before = t.copy()
+    assert np.array_equal(_jacobi_ratio_last(ell, d, t), _jacobi_ratio_out_of_place(ell, d, t))
+    assert np.array_equal(t, before)
 
 
 def test_pinned_values():

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from eigensphere.specfun import GegenbauerSpec, gegenbauer_eval
+from eigensphere.specfun import gegenbauer_eval_many
 from eigensphere.stats import ExperimentSpec, run_ensemble
 
 
@@ -23,12 +23,11 @@ def exact_defect_variance(ell: int) -> float:
     """Orthant identity: E[sign(X) sign(Y)] = (2/pi) arcsin(rho)."""
     xg, wg = np.polynomial.legendre.leggauss(24)
     edges = np.cos(np.linspace(math.pi, 0.0, 4 * ell + 1))
-    spec = GegenbauerSpec(ell, 2)
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         t = 0.5 * (hi - lo) * xg + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * wg
-        total += float(np.sum(w * np.arcsin(np.clip(gegenbauer_eval(spec, t), -1.0, 1.0))))
+        total += float(np.sum(w * np.arcsin(np.clip(gegenbauer_eval_many(ell, 2, t), -1.0, 1.0))))
     return 16.0 * math.pi * total
 
 

@@ -5,10 +5,9 @@ asymptotics and their Bessel-integral constants, Wiener-chaos projections,
 excursion volumes, the defect, and Monte Carlo CLT diagnostics.
 """
 from .specfun import (
-    GegenbauerSpec,
     bessel_j,
     gauss_pdf_cdf,
-    gegenbauer_eval,
+    gegenbauer_eval_many,
     hermite_eval,
     sphere_measure,
 )

@@ -63,6 +63,10 @@ class RunConfig:
             raise ConfigError(f"need at least 2 replicates, got {self.replicates}")
         if self.grid_resolution < 0 or 0 < self.grid_resolution < 4:
             raise ConfigError(f"grid resolution must be 0 (default rule) or >= 4, got {self.grid_resolution}")
+        if self.q < 2:
+            raise ConfigError(f"need q >= 2, got {self.q}")
+        if not math.isfinite(self.z):
+            raise ConfigError(f"level z must be finite, got {self.z}")
         if self.truncation < 2:
             raise ConfigError(f"truncation must be >= 2, got {self.truncation}")
         if self.fmt not in ("csv", "json"):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldSample
-from .specfun import gauss_pdf_cdf, hermite_eval, hermite_ladder, sphere_measure
+from .specfun import gauss_pdf_cdf, hermite_eval, sphere_measure
 
 __all__ = [
     "ChaosCoefficients",
@@ -95,10 +95,10 @@ def generic_functional(sample: FieldSample, coeffs: ChaosCoefficients) -> float:
     rank = coeffs.rank
     if rank is None:
         raise ValueError("all J_q vanish for q >= 1: Hermite rank undefined")
-    ladder = hermite_ladder(coeffs.truncation, sample.values)
     w = sample.grid.weights
     value = 0.0
     for q in range(1, coeffs.truncation + 1):
         if coeffs.coeffs[q] != 0.0:
-            value += coeffs.coeffs[q] / math.factorial(q) * float(np.sum(w * ladder[q]))
+            h = hermite_eval(q, sample.values)
+            value += coeffs.coeffs[q] / math.factorial(q) * float(np.sum(w * h))
     return value

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,26 +55,30 @@ def _gauss_legendre_panels(edges: np.ndarray, nodes: int):
     return 0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg + np.zeros_like(lo)
 
 
-def moment_integral(ell: int, q: int, d: int, *, nodes_per_panel: int = _PANEL_NODES) -> float:
+def moment_integral(ell: int, q: int, d: int) -> float:
     """Gegenbauer moment integral over [0, pi/2].
 
     Panel width is pi/(4*(ell+1)), a quarter of the oscillation
     wavelength, so fixed-order quadrature per panel is spectrally
-    accurate.  Each of the 2*(ell+1)*nodes_per_panel nodes runs the
+    accurate.  Each of the 2*(ell+1)*_PANEL_NODES nodes runs the
     ell-step degree recurrence, so the cost grows like ell^2.
     """
     if ell < 0 or q < 1 or d < 2:
         raise ValueError(f"need ell >= 0, q >= 1, d >= 2, got {(ell, q, d)}")
     edges = np.linspace(0.0, 0.5 * math.pi, 2 * (ell + 1) + 1)
-    theta, w = (a.ravel() for a in _gauss_legendre_panels(edges, nodes_per_panel))
+    theta, w = (a.ravel() for a in _gauss_legendre_panels(edges, _PANEL_NODES))
     g = gegenbauer_eval_many(ell, d, np.cos(theta))
     return float(np.sum(w * g**q * np.sin(theta) ** (d - 1)))
 
 
 _C42 = 3.0 / (2.0 * math.pi**2)
 
-# Gauss-Legendre nodes per chunk between consecutive Bessel zeros.
+# Gauss-Legendre nodes per chunk between consecutive Bessel zeros, the
+# number of zeros (chunks), and the largest accepted error estimate of the
+# accelerated tail.
 _CHUNK_NODES = 32
+_MAX_ZEROS = 480
+_CONSTANT_TOL = 1e-6
 
 
 def _bessel_zeros(nu: float, count: int) -> np.ndarray:
@@ -106,13 +109,7 @@ def _euler_limit(partial_sums: np.ndarray) -> tuple[float, float]:
     return float(s[0]), math.inf
 
 
-def asymptotic_constant(
-    q: int,
-    d: int,
-    *,
-    tol: float = 1e-6,
-    max_zeros: int = 480,
-) -> float:
+def asymptotic_constant(q: int, d: int) -> float:
     """Limiting constant of ell^d (or ell^(d-1) for q=2) times the moment
     integral.
 
@@ -138,7 +135,7 @@ def asymptotic_constant(
     nu = 0.5 * d - 1.0
     pref = (2.0**nu * math.gamma(nu + 1.0)) ** q
     a = -q * nu + d - 1.0
-    zeros = _bessel_zeros(nu, max_zeros)
+    zeros = _bessel_zeros(nu, _MAX_ZEROS)
     edges = np.concatenate([[0.0], zeros])
     x, w = _gauss_legendre_panels(edges, _CHUNK_NODES)
     j = bessel_j(nu, x.ravel()).reshape(x.shape)
@@ -154,9 +151,9 @@ def asymptotic_constant(
         tail_pref = pref * (2.0 / math.pi) ** (0.5 * q) * mean_q / (-(beta + 1.0))
         seq = seq + tail_pref * edges[1:] ** (beta + 1.0)
     value, err = _euler_limit(seq[-64:])
-    if not math.isfinite(value) or err > tol:
+    if not math.isfinite(value) or err > _CONSTANT_TOL:
         raise NonConvergedError(
-            f"accelerated tail for (q={q}, d={d}) estimated error {err:.2e} > {tol:.0e}"
+            f"accelerated tail for (q={q}, d={d}) estimated error {err:.2e} > {_CONSTANT_TOL:.0e}"
         )
     return value
 
@@ -166,7 +163,7 @@ class ScalingLaw:
     """Decay law of the moment integral: constant * log(ell)^log_power *
     ell^exponent; ``constant`` is None when no numeric value is available."""
 
-    exponent: Fraction
+    exponent: int
     log_power: int
     constant: float | None
 
@@ -178,9 +175,9 @@ def closed_form_law(q: int, d: int) -> ScalingLaw | None:
     where ell^2 I grows like (3 / (2 pi^2)) log(ell)."""
     if q == 2:
         c2 = math.factorial(d - 1) * sphere_measure(d) / (4.0 * sphere_measure(d - 1))
-        return ScalingLaw(Fraction(-(d - 1)), 0, c2)
+        return ScalingLaw(-(d - 1), 0, c2)
     if (d, q) == (2, 4):
-        return ScalingLaw(Fraction(-2), 1, _C42)
+        return ScalingLaw(-2, 1, _C42)
     return None
 
 
@@ -200,7 +197,7 @@ def scaling_law(q: int, d: int) -> ScalingLaw:
         c = asymptotic_constant(q, d)
     except NonConvergedError:
         c = None
-    return ScalingLaw(Fraction(-d), 0, c)
+    return ScalingLaw(-d, 0, c)
 
 
 def projection_variance(ell: int, q: int, d: int) -> float:

@@ -8,13 +8,11 @@ against closed forms and scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "GegenbauerSpec",
-    "gegenbauer_eval",
+    "gegenbauer_eval_many",
     "hermite_eval",
     "bessel_j",
     "gauss_pdf_cdf",
@@ -39,27 +37,6 @@ def sphere_measure(d: int) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
 
 
-@dataclass(frozen=True)
-class GegenbauerSpec:
-    """Degree/dimension pair for the normalized covariance polynomial."""
-
-    ell: int
-    d: int
-
-    def __post_init__(self):
-        if self.ell < 0:
-            raise ValueError(f"degree must be >= 0, got {self.ell}")
-        if self.d < 2:
-            raise ValueError(f"sphere dimension must be >= 2, got {self.d}")
-
-
-def _check_argument(t: np.ndarray) -> np.ndarray:
-    if np.any(np.abs(t) > 1.0 + _T_TOL):
-        bad = np.max(np.abs(t))
-        raise ValueError(f"argument out of [-1, 1]: |t| = {bad}")
-    return np.clip(t, -1.0, 1.0)
-
-
 def _jacobi_ratio_last(ell: int, d: int, t: np.ndarray) -> np.ndarray:
     """P_ell^(a,a)(t) / P_ell^(a,a)(1) with a = d/2 - 1, by the three-term
     recurrence in the degree.
@@ -67,9 +44,9 @@ def _jacobi_ratio_last(ell: int, d: int, t: np.ndarray) -> np.ndarray:
     The value at 1 is carried through the same recurrence (not taken from
     the binomial formula), so the ratio is exactly 1 at t = 1 regardless
     of any Gamma-function error for odd d.  Rolling storage: three rows,
-    updated in place, which lets the moment quadratures evaluate tens of
-    thousands of nodes without materializing all degrees or allocating
-    per step.
+    updated in place, and the last is divided by the value at 1 in place
+    and returned, so the moment quadratures evaluate tens of thousands of
+    nodes without materializing all degrees or allocating per step.
     """
     a = d / 2.0 - 1.0
     if ell == 0:
@@ -96,57 +73,47 @@ def _jacobi_ratio_last(ell: int, d: int, t: np.ndarray) -> np.ndarray:
             p_curr /= one_curr
             one_prev = one_prev / one_curr
             one_curr = 1.0
-    return p_curr / one_curr
+    p_curr /= one_curr
+    return p_curr
 
 
-def gegenbauer_eval(spec: GegenbauerSpec, t):
-    """Normalized Gegenbauer polynomial of the spec's degree at t in [-1,1].
+def gegenbauer_eval_many(ell: int, d: int, t):
+    """Normalized Gegenbauer polynomial of degree ell on S^d (the
+    covariance kernel, exactly 1 at t = 1) at t in [-1, 1].
 
-    Accepts scalars or arrays; relative error grows like ell * eps.
+    Accepts a scalar (returns a numpy scalar) or an array, which is left
+    untouched.  Arguments within _T_TOL outside [-1, 1] are clipped,
+    farther ones raise.  Relative error grows like ell * eps.
     """
-    arr = _check_argument(np.asarray(t, dtype=float))
-    out = _jacobi_ratio_last(spec.ell, spec.d, np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
-
-
-def gegenbauer_eval_many(ell: int, d: int, t: np.ndarray) -> np.ndarray:
-    """Degree-ell values on an array of arguments (quadrature fast path)."""
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
-    return _jacobi_ratio_last(ell, d, _check_argument(np.asarray(t, dtype=float)))
+    if d < 2:
+        raise ValueError(f"sphere dimension must be >= 2, got {d}")
+    t = np.asarray(t, dtype=float)
+    lo, hi = t.min(initial=0.0), t.max(initial=0.0)  # initial: empty t passes
+    if lo < -1.0 - _T_TOL or hi > 1.0 + _T_TOL:
+        raise ValueError(f"argument out of [-1, 1]: |t| = {max(-lo, hi)}")
+    g = _jacobi_ratio_last(ell, d, np.clip(np.atleast_1d(t), -1.0, 1.0))
+    return g if t.ndim else g[0]
 
 
-def _hermite_rows(qmax: int, arr: np.ndarray):
-    """Probabilists' Hermite H_0..H_qmax at arr, one at a time, via
+def hermite_eval(q: int, t):
+    """Probabilists' Hermite H_q at t (scalar or array), via
     H_{k+1} = t H_k - k H_{k-1}.
 
     No scaling is applied; q stays small (<= ~12) in every experiment so
     the values remain well inside double range.
     """
-    h_prev = np.ones_like(arr)
-    yield h_prev
-    if qmax == 0:
-        return
-    h_curr = arr.copy()
-    yield h_curr
-    for k in range(1, qmax):
-        h_prev, h_curr = h_curr, arr * h_curr - k * h_prev
-        yield h_curr
-
-
-def hermite_eval(q: int, t):
-    """Probabilists' Hermite H_q at t (scalar or array)."""
     if q < 0:
         raise ValueError(f"Hermite order must be >= 0, got {q}")
     arr = np.asarray(t, dtype=float)
-    for h in _hermite_rows(q, arr):
-        pass
+    if q == 0:
+        h = np.ones_like(arr)
+    else:
+        h_prev, h = np.ones_like(arr), arr.copy()
+        for k in range(1, q):
+            h_prev, h = h, arr * h - k * h_prev
     return float(h) if arr.ndim == 0 else h
-
-
-def hermite_ladder(qmax: int, t: np.ndarray) -> np.ndarray:
-    """H_0..H_qmax stacked along axis 0 (single pass, shared by expansions)."""
-    return np.array(list(_hermite_rows(qmax, np.asarray(t, dtype=float))))
 
 
 def _bessel_series(nu: float, x: np.ndarray) -> np.ndarray:

@@ -112,7 +112,7 @@ _GRID_CACHE: dict[tuple[int, int], SphereGrid] = {}
 
 
 def shared_grid(d: int, resolution: int) -> SphereGrid:
-    """Process-wide grid reuse so repeated ensembles share synthesis
+    """Process-wide grid reuse so repeated ensembles share Legendre
     tables and covariance factors."""
     key = (d, resolution)
     if key not in _GRID_CACHE:

@@ -74,7 +74,8 @@ def test_exit_code_config_error():
 
 
 def test_exit_code_numeric_error():
-    out = invoke("constants", "--q", "1", "--d", "2")
+    # 78^2 = 6084 nodes exceed the dense factorization budget
+    out = invoke("clt", "--d", "3", "--ell", "2", "--reps", "2", "--grid-resolution", "78")
     assert out.returncode == 3
 
 
@@ -99,8 +100,16 @@ def test_negative_degree_is_config_error(args):
         (("clt", "--ell", "8", "--reps", "2", "--grid-resolution", "-5"), "grid resolution must be"),
         (("excursion", "--ell", "8", "--reps", "2", "--Q", "1"), "truncation must be >= 2"),
         (("moments", "--ell", "8,abc"), "--ell must be comma-separated integers"),
+        (("clt", "--q", "0", "--ell", "8", "--reps", "2"), "need q >= 2"),
+        (("clt", "--q", "1", "--ell", "8", "--reps", "2"), "need q >= 2"),
+        (("clt", "--q", "-1", "--ell", "8", "--reps", "2"), "need q >= 2"),
+        (("moments", "--q", "1", "--ell", "8"), "need q >= 2"),
+        (("constants", "--q", "1"), "need q >= 2"),
+        (("excursion", "--z", "nan", "--ell", "8", "--reps", "2"), "level z must be finite"),
+        (("excursion", "--z", "inf", "--ell", "8", "--reps", "2"), "level z must be finite"),
     ],
-    ids=["resolution-3", "resolution-negative", "truncation-1", "ell-not-integer"],
+    ids=["resolution-3", "resolution-negative", "truncation-1", "ell-not-integer", "clt-q0", "clt-q1",
+         "clt-q-negative", "moments-q1", "constants-q1", "excursion-z-nan", "excursion-z-inf"],
 )
 def test_out_of_range_option_is_config_error(args, message):
     out = invoke(*args)
@@ -152,7 +161,8 @@ def test_run_config_validation():
         run(RunConfig(command="moments", fmt="yaml"))
     with pytest.raises(ConfigError):
         run(RunConfig(command="moments", ell_list=[-1, 4]))
-    for bad in (dict(grid_resolution=-1), dict(grid_resolution=3), dict(truncation=1)):
+    for bad in (dict(grid_resolution=-1), dict(grid_resolution=3), dict(truncation=1), dict(q=1),
+                dict(z=math.nan), dict(z=-math.inf)):
         with pytest.raises(ConfigError):
             run(RunConfig(command="clt", replicates=2, **bad))
     RunConfig(command="clt", grid_resolution=4, truncation=2).validate()

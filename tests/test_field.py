@@ -18,7 +18,7 @@ from eigensphere.field import (
     simulate_s2,
     simulate_sd,
 )
-from eigensphere.specfun import GegenbauerSpec, gegenbauer_eval
+from eigensphere.specfun import gegenbauer_eval_many
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def test_quasi_uniform_grid():
     # quasi-uniformity sanity: the kernel mean over nodes approximates the
     # analytic mean 0 of the degree-2 covariance
     cos_tau = np.clip(g.nodes @ g.nodes[0], -1.0, 1.0)
-    val = np.sum(g.weights * gegenbauer_eval(GegenbauerSpec(2, 3), cos_tau))
+    val = np.sum(g.weights * gegenbauer_eval_many(2, 3, cos_tau))
     assert abs(val) < 0.05
 
 
@@ -56,7 +56,7 @@ def test_grid_validation():
 def test_quadrature_exactness(grid64):
     # eigenfunctions have zero mean; Gauss-Legendre integrates the degree-4
     # kernel exactly; the cosine of the distance to the north pole is z
-    val = np.sum(grid64.weights * gegenbauer_eval(GegenbauerSpec(4, 2), grid64.nodes[:, 2]))
+    val = np.sum(grid64.weights * gegenbauer_eval_many(4, 2, grid64.nodes[:, 2]))
     assert abs(val) < 1e-9
 
 
@@ -88,10 +88,9 @@ def test_synthesis_covariance_is_exact(grid64):
     ell = 8
     rows = _direct_rows(ell, grid64)
     rng = np.random.default_rng(3)
-    spec = GegenbauerSpec(ell, 2)
     for _ in range(25):
         n1, n2 = rng.integers(0, grid64.size, 2)
-        target = gegenbauer_eval(spec, float(np.clip(grid64.nodes[n1] @ grid64.nodes[n2], -1, 1)))
+        target = gegenbauer_eval_many(ell, 2, grid64.nodes[n1] @ grid64.nodes[n2])
         assert rows[:, n1] @ rows[:, n2] == pytest.approx(target, abs=1e-12)
 
 
@@ -141,11 +140,10 @@ def test_mean_zero_and_covariance_law(grid64):
         vals[r] = simulate_s2(8, grid64, replicate_seed(21, r)).values[tracked]
     # ensemble mean at tracked nodes ~ 0 at 3 sigma
     assert np.max(np.abs(vals.mean(axis=0))) <= 3.0 / math.sqrt(reps) + 0.01
-    spec = GegenbauerSpec(8, 2)
     cov = np.cov(vals.T)
     worst = 0.0
     for n1, n2 in idx:
-        target = gegenbauer_eval(spec, float(np.clip(grid64.nodes[n1] @ grid64.nodes[n2], -1, 1)))
+        target = gegenbauer_eval_many(8, 2, grid64.nodes[n1] @ grid64.nodes[n2])
         worst = max(worst, abs(cov[pos[n1], pos[n2]] - target))
     assert worst <= 4.0 / math.sqrt(reps)
 
@@ -209,7 +207,6 @@ def test_sd_matches_s2_law():
     # d=2 grid small enough for the dense route: compare empirical
     # covariances from both samplers against the same kernel
     grid = build_grid(2, 12)
-    spec = GegenbauerSpec(8, 2)
     reps = 3000
     rng = np.random.default_rng(9)
     pairs = rng.integers(0, grid.size, (20, 2))
@@ -220,7 +217,7 @@ def test_sd_matches_s2_law():
         vals[r] = simulate_sd(8, grid, replicate_seed(13, r)).values[tracked]
     cov = np.cov(vals.T)
     for n1, n2 in pairs:
-        target = gegenbauer_eval(spec, float(np.clip(grid.nodes[n1] @ grid.nodes[n2], -1, 1)))
+        target = gegenbauer_eval_many(8, 2, grid.nodes[n1] @ grid.nodes[n2])
         assert abs(cov[pos[n1], pos[n2]] - target) <= 4.0 / math.sqrt(reps)
 
 
@@ -228,7 +225,6 @@ def test_isotropy_residuals():
     # covariance residuals must not regress on a non-geodesic feature
     # (longitude difference) once tau is accounted for
     grid = build_grid(2, 12)
-    spec = GegenbauerSpec(6, 2)
     reps = 4000
     rng = np.random.default_rng(123)
     pairs = rng.integers(0, grid.size, (30, 2))
@@ -241,7 +237,7 @@ def test_isotropy_residuals():
     resid, feature = [], []
     m = len(grid.longitudes)
     for n1, n2 in pairs:
-        target = gegenbauer_eval(spec, float(np.clip(grid.nodes[n1] @ grid.nodes[n2], -1, 1)))
+        target = gegenbauer_eval_many(6, 2, grid.nodes[n1] @ grid.nodes[n2])
         resid.append(cov[pos[n1], pos[n2]] - target)
         dphi = abs((n1 % m) - (n2 % m)) * 2.0 * math.pi / m
         feature.append(min(dphi, 2.0 * math.pi - dphi))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,12 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from eigensphere.specfun import (
-    GegenbauerSpec,
     bessel_j,
     bessel_j_derivative,
     gauss_cdf_array,
     gauss_pdf_cdf,
-    gegenbauer_eval,
+    gegenbauer_eval_many,
     hermite_eval,
-    hermite_ladder,
     sphere_measure,
 )
 from eigensphere.moments import _bessel_zeros
@@ -25,12 +24,12 @@ from eigensphere.specfun import _jacobi_ratio_last
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("ell", [0, 1, 7, 50, 200])
 def test_normalization_at_one(ell, d):
-    assert gegenbauer_eval(GegenbauerSpec(ell, d), 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert gegenbauer_eval_many(ell, d, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_normalization_sweep_all_degrees(d):
-    values = np.array([gegenbauer_eval(GegenbauerSpec(ell, d), 1.0) for ell in range(201)])
+    values = np.array([gegenbauer_eval_many(ell, d, 1.0) for ell in range(201)])
     assert np.max(np.abs(values - 1.0)) <= 1e-12
 
 
@@ -65,12 +64,13 @@ def test_in_place_recurrence_is_byte_identical(ell, d):
 
 
 def test_pinned_values():
-    assert gegenbauer_eval(GegenbauerSpec(7, 5), 1.0) == 1.0
-    assert gegenbauer_eval(GegenbauerSpec(1, 2), 0.3) == pytest.approx(0.3, abs=1e-15)
+    assert gegenbauer_eval_many(7, 5, 1.0) == 1.0
+    assert gegenbauer_eval_many(7, 5, 1.0).size == 1
+    assert gegenbauer_eval_many(1, 2, 0.3) == pytest.approx(0.3, abs=1e-15)
     # (3 t^2 - 1)/2 at t = 0
-    assert gegenbauer_eval(GegenbauerSpec(2, 2), 0.0) == pytest.approx(-0.5, abs=1e-15)
+    assert gegenbauer_eval_many(2, 2, 0.0) == pytest.approx(-0.5, abs=1e-15)
     # sin((l+1)theta)/((l+1) sin theta) at theta = pi/2, l = 2
-    assert gegenbauer_eval(GegenbauerSpec(2, 3), 0.0) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    assert gegenbauer_eval_many(2, 3, 0.0) == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -80,7 +80,7 @@ def test_against_jacobi_oracle(d):
     for ell in [1, 3, 17, 64, 200]:
         t = rng.uniform(-1.0, 1.0, 40)
         ref = sp.eval_jacobi(ell, a, a, t) / sp.eval_jacobi(ell, a, a, 1.0)
-        got = gegenbauer_eval(GegenbauerSpec(ell, d), t)
+        got = gegenbauer_eval_many(ell, d, t)
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
@@ -91,23 +91,40 @@ def test_against_jacobi_oracle(d):
     t=st.floats(min_value=0.0, max_value=1.0),
 )
 def test_parity(ell, d, t):
-    spec = GegenbauerSpec(ell, d)
-    left = gegenbauer_eval(spec, -t)
-    right = (-1.0) ** ell * gegenbauer_eval(spec, t)
+    left = gegenbauer_eval_many(ell, d, -t)
+    right = (-1.0) ** ell * gegenbauer_eval_many(ell, d, t)
     assert left == pytest.approx(right, abs=1e-12)
 
 
 @pytest.mark.parametrize("ell,d", [(5, 2), (40, 3), (101, 4), (60, 6)])
 def test_bounded_by_one(ell, d):
     t = np.random.default_rng(2).uniform(-1.0, 1.0, 10_000)
-    assert np.max(np.abs(gegenbauer_eval(GegenbauerSpec(ell, d), t))) <= 1.0 + 1e-12
+    assert np.max(np.abs(gegenbauer_eval_many(ell, d, t))) <= 1.0 + 1e-12
 
 
 def test_domain_error():
     with pytest.raises(ValueError):
-        gegenbauer_eval(GegenbauerSpec(3, 2), 1.001)
+        gegenbauer_eval_many(3, 2, 1.001)
     # within roundoff tolerance is clipped, not rejected
-    assert gegenbauer_eval(GegenbauerSpec(3, 2), 1.0 + 1e-13) == pytest.approx(1.0)
+    assert gegenbauer_eval_many(3, 2, 1.0 + 1e-13) == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        gegenbauer_eval_many(3, 1, 0.5)
+
+
+def test_evaluator_memory_and_input():
+    # one clipped copy of the arguments plus the three recurrence rows, one
+    # of which is returned; the caller's array is left as it was
+    t = np.random.default_rng(5).uniform(-1.0, 1.0, 10**6)
+    t[:2] = 1.0 + 1e-13, -1.0 - 1e-13  # clipped in the copy, not here
+    before = t.copy()
+    tracemalloc.start()
+    try:
+        gegenbauer_eval_many(64, 3, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * t.nbytes + 2**20
+    assert np.array_equal(t, before)
 
 
 # ------------------------------------------------------------------- hermite
@@ -129,16 +146,10 @@ def test_hermite_orthogonality():
             assert val == pytest.approx(target, abs=1e-8)
 
 
-def test_hermite_ladder_matches_eval():
-    # both run one recurrence, so agreeing with each other proves little:
-    # each is also checked against numpy's HermiteE series evaluation
+def test_hermite_eval_matches_hermeval():
     t = np.linspace(-3, 3, 11)
-    ladder = hermite_ladder(6, t)
-    assert ladder.shape == (7, 11)
     for q in range(7):
-        np.testing.assert_array_equal(ladder[q], hermite_eval(q, t))
         ref = np.polynomial.hermite_e.hermeval(t, [0.0] * q + [1.0])
-        np.testing.assert_allclose(ladder[q], ref, rtol=1e-13, atol=1e-12)
         np.testing.assert_allclose(hermite_eval(q, t), ref, rtol=1e-13, atol=1e-12)
         assert hermite_eval(q, float(t[7])) == pytest.approx(ref[7], rel=1e-13, abs=1e-12)
 

@@ -94,11 +94,12 @@ def _rows_constants(cfg: RunConfig) -> tuple[list[str], list[list]]:
 
 
 def _rows_moments(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    from .moments import moment_result
+    from .moments import moment_result, scaling_law
 
+    law = scaling_law(cfg.q, cfg.d)
     rows = []
     for ell in cfg.ell_list:
-        r = moment_result(ell, cfg.q, cfg.d)
+        r = moment_result(ell, cfg.q, cfg.d, law)
         rows.append([cfg.d, ell, cfg.q, r.integral, r.scaled, r.target, r.rel_err])
     return ["d", "ell", "q", "value", "scaled", "target", "rel_err"], rows
 

@@ -1,15 +1,23 @@
 """Moment integrals of the covariance polynomial and their high-degree limits.
 
-Two independent numerical routes live here.  ``moment_integral`` evaluates
+``moment_integral`` evaluates
 
     I(ell, q, d) = int_0^{pi/2} G(cos theta)^q (sin theta)^(d-1) dtheta
 
-by panel-wise Gauss-Legendre quadrature with panels commensurate with the
-oscillation wavelength pi/ell.  ``asymptotic_constant`` evaluates the
-limiting constants of ell^d * I from an oscillatory Bessel integral,
-chunked between consecutive Bessel zeros with Euler acceleration for the
-conditionally convergent cases.  The two routes share no code beyond the
-Bessel evaluator, which is what makes their agreement a real check.
+by one of two routes, chosen by (q, ell):
+
+* q in {2, 3, 4} with ell*q even: exactly, from Rogers' (Dougall's)
+  linearization of G_ell^2 in O(ell) operations (O(1) for q = 2);
+* every other case (q = 1, q >= 5, odd q at odd ell): panel-wise
+  Gauss-Legendre quadrature with panels commensurate with the oscillation
+  wavelength pi/ell, in O(ell^2) operations.
+
+The quadrature also serves the tests as the independent check of the
+exact route.  ``asymptotic_constant`` evaluates the limiting constants of
+ell^d * I from an oscillatory Bessel integral, chunked between consecutive
+Bessel zeros with Euler acceleration for the conditionally convergent
+cases.  The moment and constant routes share no code beyond the Bessel
+evaluator, which is what makes their agreement a real check.
 """
 from __future__ import annotations
 
@@ -55,20 +63,69 @@ def _gauss_legendre_panels(edges: np.ndarray, nodes: int):
     return 0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg + np.zeros_like(lo)
 
 
-def moment_integral(ell: int, q: int, d: int) -> float:
-    """Gegenbauer moment integral over [0, pi/2].
+def _moment_quadrature(ell: int, q: int, d: int) -> float:
+    """The moment integral by panel Gauss-Legendre quadrature.
 
     Panel width is pi/(4*(ell+1)), a quarter of the oscillation
     wavelength, so fixed-order quadrature per panel is spectrally
     accurate.  Each of the 2*(ell+1)*_PANEL_NODES nodes runs the
     ell-step degree recurrence, so the cost grows like ell^2.
     """
-    if ell < 0 or q < 1 or d < 2:
-        raise ValueError(f"need ell >= 0, q >= 1, d >= 2, got {(ell, q, d)}")
     edges = np.linspace(0.0, 0.5 * math.pi, 2 * (ell + 1) + 1)
     theta, w = (a.ravel() for a in _gauss_legendre_panels(edges, _PANEL_NODES))
     g = gegenbauer_eval_many(ell, d, np.cos(theta))
     return float(np.sum(w * g**q * np.sin(theta) ** (d - 1)))
+
+
+def _eigenspace_dim(n, d: int):
+    """Dimension of the degree-n eigenspace of S^d, (2n+d-1)/(d-1) *
+    binom(n+d-2, d-2), as a float (elementwise for an array n)."""
+    dim = (2.0 * n + d - 1) / (d - 1)
+    for i in range(1, d - 1):
+        dim = dim * (n + i) / i
+    return dim
+
+
+def _linearization_weights(ell: int, d: int) -> np.ndarray:
+    """Weights b_k, k = 0..ell, of G_ell^2 = sum_k b_k G_(2ell-2k).
+
+    Rogers' (Dougall's) formula for C_ell^lam C_ell^lam, lam = (d-1)/2,
+    divided by the values at 1.  Consecutive weights have the ratio below,
+    and they sum to G_ell(1)^2 = 1, which fixes b_0.
+    """
+    lam = 0.5 * (d - 1)
+    n = 2 * ell
+    k = np.arange(ell, dtype=float)
+    ratio = (
+        (lam + k) * (ell - k) ** 2 * (n + lam - k) * (n + lam - 2 * k - 2)
+        / ((k + 1) * (lam + ell - k - 1) ** 2 * (2 * lam + n - k - 1) * (n + lam - 2 * k))
+    )
+    b = np.concatenate([[1.0], np.cumprod(ratio)])
+    return b / np.sum(b)
+
+
+def moment_integral(ell: int, q: int, d: int) -> float:
+    """Gegenbauer moment integral over [0, pi/2].
+
+    For q in {2, 3, 4} with ell*q even the integrand is even, so I is half
+    the integral over [-1, 1] against (1-x^2)^((d-2)/2), which the
+    linearization weights b_k and the norms int G_n^2 = (mu_d/mu_(d-1)) /
+    dim(n) give exactly: q = 2 is the norm of G_ell (O(1)), q = 3 is
+    b_(ell/2) times it and q = 4 is sum_k b_k^2 times the norm of
+    G_(2ell-2k) (both O(ell)).  Every other case is integrated by
+    ``_moment_quadrature`` at a cost that grows like ell^2.
+    """
+    if ell < 0 or q < 1 or d < 2:
+        raise ValueError(f"need ell >= 0, q >= 1, d >= 2, got {(ell, q, d)}")
+    if q not in (2, 3, 4) or ell * q % 2:
+        return _moment_quadrature(ell, q, d)
+    half_mass = 0.5 * sphere_measure(d) / sphere_measure(d - 1)
+    if q == 2:
+        return half_mass / _eigenspace_dim(ell, d)
+    b = _linearization_weights(ell, d)
+    if q == 3:
+        return float(b[ell // 2]) * half_mass / _eigenspace_dim(ell, d)
+    return half_mass * float(np.sum(b**2 / _eigenspace_dim(np.arange(2 * ell, -1, -2.0), d)))
 
 
 _C42 = 3.0 / (2.0 * math.pi**2)
@@ -234,10 +291,15 @@ class MomentResult:
     rel_err: float
 
 
-def moment_result(ell: int, q: int, d: int) -> MomentResult:
-    """Moment integral packaged with the (d, q)-specific rescaling."""
+def moment_result(ell: int, q: int, d: int, law: ScalingLaw | None = None) -> MomentResult:
+    """Moment integral packaged with the (d, q)-specific rescaling.
+
+    ``law`` is ``scaling_law(q, d)``, evaluated here when not given; a
+    degree sweep passes it in so the Bessel integral runs once.
+    """
     integral = moment_integral(ell, q, d)
-    law = scaling_law(q, d)
+    if law is None:
+        law = scaling_law(q, d)
     scale = float(ell) ** (-float(law.exponent)) if ell > 0 else 1.0
     if law.log_power == 1 and ell > 1:
         scale /= math.log(ell)

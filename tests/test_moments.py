@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,19 @@ C32 = 2.0 / (math.pi * math.sqrt(3.0))
 # reductions to sine integrals: int sin^3(x)/x dx = int sin^4(x)/x^2 dx = pi/4
 C33 = math.pi / 4.0
 C43 = math.pi / 4.0
+
+
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    """The benchmark's independent oracles (scipy and closed forms), loaded
+    by path: ``perfbench`` is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def legendre_moment_oracle(ell: int, q: int) -> float:
@@ -65,10 +80,36 @@ def test_against_polynomial_oracle(ell, q):
 
 @pytest.mark.parametrize("ell,q,d", [(400, 6, 5), (128, 3, 2), (37, 5, 4), (256, 2, 3)])
 def test_panel_refinement(ell, q, d, monkeypatch):
-    coarse = moment_integral(ell, q, d)
+    coarse = moments._moment_quadrature(ell, q, d)
     monkeypatch.setattr(moments, "_PANEL_NODES", 32)
-    fine = moment_integral(ell, q, d)
+    fine = moments._moment_quadrature(ell, q, d)
     assert coarse == pytest.approx(fine, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_linearized_route_matches_quadrature(d):
+    # the quadrature is the independent route; 2048 is the benchmark's top degree
+    ells = [0, 1, 2, 7, 8, 63, 64, 257, 512] + ([2048] if d <= 3 else [])
+    for q in (2, 3, 4):
+        for ell in ells:
+            if ell * q % 2:
+                continue  # odd integrand: moment_integral is the quadrature itself
+            exact = moment_integral(ell, q, d)
+            assert exact == pytest.approx(moments._moment_quadrature(ell, q, d), rel=1e-10), (ell, q)
+
+
+@pytest.mark.parametrize("ell", [2, 64, 1024, 2048])
+def test_s2_moments_against_3j_oracle(ell, oracles):
+    assert moment_integral(ell, 3, 2) == pytest.approx(oracles.moment_q3_s2(ell), rel=1e-10)
+    assert moment_integral(ell, 4, 2) == pytest.approx(oracles.moment_q4_s2(ell), rel=1e-10)
+
+
+@pytest.mark.parametrize("ell", [0, 2, 64, 1024, 2048, 4096])
+def test_s3_closed_form_moments(ell):
+    # U_ell^2 = sum_k U_(2k) on S^3 gives both moments for even ell
+    exact = math.pi / (4.0 * (ell + 1) ** 3)
+    assert moment_integral(ell, 3, 3) == pytest.approx(exact, rel=1e-11)
+    assert moment_integral(ell, 4, 3) == pytest.approx(exact, rel=1e-11)
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,8 +143,8 @@ def test_closed_form_constants():
 
 def test_bessel_route_constants():
     assert asymptotic_constant(3, 2) == pytest.approx(C32, abs=1e-8)
-    assert asymptotic_constant(3, 3) == pytest.approx(C33, abs=1e-8)
-    assert asymptotic_constant(4, 3) == pytest.approx(C43, abs=1e-6)
+    assert asymptotic_constant(3, 3) == pytest.approx(C33, rel=1e-9)
+    assert asymptotic_constant(4, 3) == pytest.approx(C43, rel=1e-9)
 
 
 def test_constant_vs_scaled_moment_at_500():

@@ -2,9 +2,8 @@
 
 d = 2 uses exact harmonic synthesis on a product quadrature grid, one
 inverse real FFT per ring of latitude (no covariance factorization).
-d >= 3 uses a dense Cholesky-type factorization of the covariance matrix
-on a quasi-uniform node set, which is viable at desk scale (N <= 6000)
-and sidesteps hyperspherical harmonic recurrences entirely.
+d >= 3 Cholesky-factors the dense covariance on a quasi-uniform node set (N <= 6000),
+built in place in row blocks: factoring holds 3 N^2 doubles at its peak.
 """
 from __future__ import annotations
 
@@ -32,6 +31,7 @@ __all__ = [
 
 DENSE_NODE_BUDGET = 6000
 _JITTER_REL = 1e-10
+_KERNEL_ROWS = 8  # covariance rows per kernel call, so its recurrence rows stay in cache
 
 
 class GridTooLargeError(ValueError):
@@ -236,6 +236,10 @@ def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
 
 
 def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
+    """Cached Cholesky factor of the jittered covariance.  One GEMM gives the Gram;
+    the kernel overwrites its lower triangle and diagonal in place, _KERNEL_ROWS rows at
+    a time, and np.linalg.cholesky reads only that triangle.  Peak: the covariance, numpy's
+    work copy and its result (3 n^2 doubles), plus n^2 for each degree already cached."""
     key = ("chol", ell)
     if key not in grid._cache:
         n = grid.size
@@ -243,8 +247,9 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
             raise GridTooLargeError(
                 f"{n} nodes exceeds the dense factorization budget {DENSE_NODE_BUDGET}"
             )
-        gram = grid.nodes @ grid.nodes.T  # roundoff past +-1 is the evaluator's to handle
-        cov = gegenbauer_eval_many(ell, grid.d, gram.ravel()).reshape(n, n)
+        cov = grid.nodes @ grid.nodes.T  # roundoff past +-1 is the evaluator's to handle
+        for j in range(_KERNEL_ROWS, n + _KERNEL_ROWS, _KERNEL_ROWS):  # the last block stops at n
+            cov[j - _KERNEL_ROWS : j, :j] = gegenbauer_eval_many(ell, grid.d, cov[j - _KERNEL_ROWS : j, :j])
         jitter = _JITTER_REL * np.trace(cov) / n
         cov[np.diag_indices(n)] += jitter
         try:

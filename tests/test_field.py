@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from eigensphere.field import (
     FactorizationError,
     GridTooLargeError,
+    SphereGrid,
     _dense_factor,
     _legendre_table,
     _rng_for,
@@ -201,6 +203,44 @@ def test_dense_factor_diagonal():
     factor = _dense_factor(g, 6)
     cov_diag = np.sum(factor * factor, axis=1)
     np.testing.assert_allclose(cov_diag, 1.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("d, res", [(3, 31), (4, 13), (2, 12)])
+def test_dense_factor_matches_full_matrix_build(d, res):
+    # the row-block, lower-triangle build must give the bits of the plain
+    # recipe; n = 961 and 169 end in a partial block, n = 288 does not
+    grid = build_grid(d, res)
+    n = grid.size
+    for ell in (0, 1, 8, 33):
+        gram = grid.nodes @ grid.nodes.T
+        cov = gegenbauer_eval_many(ell, d, gram.ravel()).reshape(n, n)
+        cov[np.diag_indices(n)] += 1e-10 * np.trace(cov) / n
+        assert np.array_equal(_dense_factor(grid, ell), np.linalg.cholesky(cov)), (d, res, ell)
+
+
+def test_dense_factor_peak_memory():
+    # the covariance and the factor numpy returns: 2 n^2 doubles (numpy's
+    # LAPACK work copy is a third, allocated where tracemalloc cannot see it)
+    grid = build_grid(3, 30)
+    n = grid.size
+    tracemalloc.start()
+    try:
+        _dense_factor(grid, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8 + 2**20, peak / (8 * n * n)
+
+
+def test_dense_factor_checks_last_block():
+    # a node just off the sphere in the final, partial block must still be
+    # caught by the evaluator's range check
+    base = build_grid(3, 31)
+    nodes = base.nodes.copy()
+    nodes[-1] *= 1.0 + 1e-9
+    grid = SphereGrid(3, nodes, base.weights, "quasi-uniform")
+    with pytest.raises(ValueError, match=r"argument out of \[-1, 1\]"):
+        _dense_factor(grid, 8)
 
 
 def test_sd_matches_s2_law():

@@ -61,6 +61,8 @@ class RunConfig:
             raise ConfigError(f"need d >= 2, got {self.d}")
         if self.replicates < 2:
             raise ConfigError(f"need at least 2 replicates, got {self.replicates}")
+        if not 0 <= self.seed < 2**128:  # the Philox key bound
+            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.grid_resolution < 0 or 0 < self.grid_resolution < 4:
             raise ConfigError(f"grid resolution must be 0 (default rule) or >= 4, got {self.grid_resolution}")
         if self.q < 2:

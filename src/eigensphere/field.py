@@ -1,7 +1,7 @@
 """Sampling of single-multipole Gaussian fields on discretized spheres.
 
-d = 2 uses exact harmonic synthesis on a product quadrature grid, one
-inverse real FFT per ring of latitude (no covariance factorization).
+d = 2 synthesizes exactly, one inverse real FFT per ring of latitude, on a product
+grid that stores only its weights and colatitude cosines (no covariance factorization).
 d >= 3 Cholesky-factors the dense covariance on a quasi-uniform node set (N <= 6000),
 built in place in row blocks: factoring holds 3 N^2 doubles at its peak.
 """
@@ -44,15 +44,14 @@ class FactorizationError(RuntimeError):
 
 @dataclass(eq=False)
 class SphereGrid:
-    """Quadrature nodes on S^d: unit vectors with positive weights summing
-    to the surface measure."""
+    """Quadrature grid on S^d: positive weights summing to the surface
+    measure, and what one sampler reads: ``cos_colat`` on an S^2 product grid
+    (``simulate_s2``), ``nodes`` on a grid for the dense route (``simulate_sd``)."""
 
     d: int
-    nodes: np.ndarray  # (N, d+1)
     weights: np.ndarray  # (N,)
-    kind: str  # "product" (d=2) | "quasi-uniform" (d>=3)
-    cos_colat: np.ndarray | None = None  # product grids: GL nodes in cos(theta)
-    longitudes: np.ndarray | None = None  # product grids: uniform phi
+    nodes: np.ndarray | None = None  # (N, d+1), the dense route
+    cos_colat: np.ndarray | None = None  # (res,), the S^2 product route
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -85,10 +84,10 @@ def _rng_for(seed: int) -> np.random.Generator:
 def build_grid(d: int, resolution: int) -> SphereGrid:
     """Quadrature grid on S^d.
 
-    d = 2: Gauss-Legendre nodes in cos(theta) (``resolution`` of them)
-    crossed with the 2*resolution uniform longitudes 2*pi*j/(2*resolution)
-    (``simulate_s2`` synthesizes each ring by an FFT, which relies on this
-    spacing); weights are the GL weights times 2*pi/(2*resolution).  Exact
+    d = 2: Gauss-Legendre nodes in cos(theta) (``resolution`` of them, kept as
+    ``cos_colat``) crossed with the 2*resolution longitudes 2*pi*j/(2*resolution),
+    which no grid stores (``simulate_s2`` synthesizes each ring by an FFT of
+    that length); weights are the GL weights times 2*pi/(2*resolution).  Exact
     for spherical polynomials of degree <= 2*resolution - 1.
 
     d >= 3: Kronecker low-discrepancy sequence of resolution^2 points in
@@ -102,19 +101,13 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
     if d == 2:
         x, w = np.polynomial.legendre.leggauss(resolution)
         m = 2 * resolution
-        phi = 2.0 * math.pi * np.arange(m) / m
-        sin_colat = np.sqrt(1.0 - x * x)
-        nodes = np.empty((resolution * m, 3))
-        nodes[:, 0] = np.repeat(sin_colat, m) * np.tile(np.cos(phi), resolution)
-        nodes[:, 1] = np.repeat(sin_colat, m) * np.tile(np.sin(phi), resolution)
-        nodes[:, 2] = np.repeat(x, m)
         weights = np.repeat(w, m) * (2.0 * math.pi / m)
-        return SphereGrid(2, nodes, weights, "product", cos_colat=x, longitudes=phi)
+        return SphereGrid(2, weights, cos_colat=x)
     n = resolution * resolution
     u = _kronecker_sequence(n, d)
     nodes = _angles_to_sphere(u, d)
     weights = np.full(n, sphere_measure(d) / n)
-    return SphereGrid(d, nodes, weights, "quasi-uniform")
+    return SphereGrid(d, weights, nodes=nodes)
 
 
 def _kronecker_sequence(n: int, dims: int) -> np.ndarray:
@@ -215,18 +208,18 @@ def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     polynomial of the cosine of geodesic distance, and pointwise variance
     is exactly 1.
 
-    The longitudes are 2*pi*j/(2*res), so each ring is one inverse real
-    FFT over the orders m = 0..ell; for ell >= res (the ring's Nyquist
-    order) it runs on a k-fold finer ring and keeps every k-th sample.
+    On the rings of ``build_grid(2, res)`` each ring is one inverse real FFT
+    of length 2*res over the orders m = 0..ell; for ell >= res (the ring's
+    Nyquist order) it runs on a k-fold finer ring and keeps every k-th sample.
     """
-    if grid.d != 2 or grid.kind != "product":
-        raise ValueError(f"simulate_s2 needs a d=2 product grid, got d={grid.d}")
+    if grid.d != 2 or grid.cos_colat is None:
+        raise ValueError(f"simulate_s2 needs a d=2 product grid from build_grid, got d={grid.d}")
     key = ("legendre", ell)
     if key not in grid._cache:  # ring-major: one row of orders per colatitude
         table = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
         grid._cache[key] = np.ascontiguousarray(table.T)
     k = ell // len(grid.cos_colat) + 1
-    n = k * len(grid.longitudes)
+    n = 2 * k * len(grid.cos_colat)
     g = _rng_for(seed).standard_normal(2 * ell + 1)
     coef = np.empty(ell + 1, dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
     coef[0] = n * g[0]
@@ -240,6 +233,8 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
     the kernel overwrites its lower triangle and diagonal in place, _KERNEL_ROWS rows at
     a time, and np.linalg.cholesky reads only that triangle.  Peak: the covariance, numpy's
     work copy and its result (3 n^2 doubles), plus n^2 for each degree already cached."""
+    if grid.nodes is None:
+        raise ValueError("the dense route needs node coordinates; sample an S^2 product grid with simulate_s2")
     key = ("chol", ell)
     if key not in grid._cache:
         n = grid.size

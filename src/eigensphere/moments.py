@@ -43,7 +43,6 @@ __all__ = [
     "scaling_law",
     "closed_form_law",
     "moment_result",
-    "constant_sign_probe",
 ]
 
 
@@ -307,18 +306,3 @@ def moment_result(ell: int, q: int, d: int, law: ScalingLaw | None = None) -> Mo
     target = law.constant if law.constant is not None else math.nan
     rel = abs(scaled - target) / abs(target) if target and math.isfinite(target) else math.nan
     return MomentResult(ell, q, d, integral, scaled, target, rel)
-
-
-def constant_sign_probe(q_max: int = 7, d_max: int = 6) -> list[tuple[int, int, float, str]]:
-    """Numeric signs of the odd-q constants (reported, never asserted:
-    strict positivity for all pairs is an open conjecture)."""
-    rows = []
-    for d in range(2, d_max + 1):
-        for q in range(3, q_max + 1, 2):
-            try:
-                c = asymptotic_constant(q, d)
-                sign = "positive" if c > 0 else ("negative" if c < 0 else "zero")
-            except NonConvergedError:
-                c, sign = math.nan, "nonconverged"
-            rows.append((q, d, c, sign))
-    return rows

@@ -107,9 +107,14 @@ def test_negative_degree_is_config_error(args):
         (("constants", "--q", "1"), "need q >= 2"),
         (("excursion", "--z", "nan", "--ell", "8", "--reps", "2"), "level z must be finite"),
         (("excursion", "--z", "inf", "--ell", "8", "--reps", "2"), "level z must be finite"),
+        (("clt", "--ell", "8", "--reps", "2", "--seed", "-1"), "seed must be in [0, 2**128)"),
+        (("excursion", "--ell", "8", "--reps", "2", "--seed", str(2**128)), "seed must be in [0, 2**128)"),
+        (("simulate", "--ell", "8", "--seed", "-1"), "seed must be in [0, 2**128)"),
+        (("simulate", "--ell", "8", "--seed", str(2**128)), "seed must be in [0, 2**128)"),
     ],
     ids=["resolution-3", "resolution-negative", "truncation-1", "ell-not-integer", "clt-q0", "clt-q1",
-         "clt-q-negative", "moments-q1", "constants-q1", "excursion-z-nan", "excursion-z-inf"],
+         "clt-q-negative", "moments-q1", "constants-q1", "excursion-z-nan", "excursion-z-inf",
+         "clt-seed-negative", "excursion-seed-2**128", "simulate-seed-negative", "simulate-seed-2**128"],
 )
 def test_out_of_range_option_is_config_error(args, message):
     out = invoke(*args)
@@ -162,10 +167,11 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         run(RunConfig(command="moments", ell_list=[-1, 4]))
     for bad in (dict(grid_resolution=-1), dict(grid_resolution=3), dict(truncation=1), dict(q=1),
-                dict(z=math.nan), dict(z=-math.inf)):
+                dict(z=math.nan), dict(z=-math.inf), dict(seed=-1), dict(seed=2**128)):
         with pytest.raises(ConfigError):
             run(RunConfig(command="clt", replicates=2, **bad))
     RunConfig(command="clt", grid_resolution=4, truncation=2).validate()
+    RunConfig(command="simulate", seed=2**128 - 1).validate()
 
 
 def test_defect_command_schema(tmp_path):

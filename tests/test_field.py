@@ -28,12 +28,38 @@ def grid64():
     return build_grid(2, 64)
 
 
+def _s2_coordinates(grid):
+    """Longitudes and (N, 3) unit-vector nodes of a build_grid(2, res) grid,
+    ring-major, as its docstring states them: the grid stores neither."""
+    x = grid.cos_colat
+    res, m = len(x), 2 * len(x)
+    phi = 2.0 * math.pi * np.arange(m) / m
+    sin_colat = np.sqrt(1.0 - x * x)
+    nodes = np.empty((res * m, 3))
+    nodes[:, 0] = np.repeat(sin_colat, m) * np.tile(np.cos(phi), res)
+    nodes[:, 1] = np.repeat(sin_colat, m) * np.tile(np.sin(phi), res)
+    nodes[:, 2] = np.repeat(x, m)
+    return phi, nodes
+
+
 # ---------------------------------------------------------------------- grids
 def test_product_grid(grid64):
     assert grid64.size == 64 * 128
+    assert grid64.nodes is None
     assert abs(grid64.weights.sum() - 4.0 * math.pi) < 1e-10
-    assert np.max(np.abs(np.linalg.norm(grid64.nodes, axis=1) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(_s2_coordinates(grid64)[1], axis=1) - 1.0)) < 1e-12
     assert np.all(grid64.weights > 0)
+
+
+def test_product_grid_peak_memory():
+    # the weights are the only N-sized array an S^2 grid keeps or builds
+    tracemalloc.start()
+    try:
+        grid = build_grid(2, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * grid.weights.nbytes + 2**20, peak / grid.weights.nbytes
 
 
 def test_quasi_uniform_grid():
@@ -58,7 +84,7 @@ def test_grid_validation():
 def test_quadrature_exactness(grid64):
     # eigenfunctions have zero mean; Gauss-Legendre integrates the degree-4
     # kernel exactly; the cosine of the distance to the north pole is z
-    val = np.sum(grid64.weights * gegenbauer_eval_many(4, 2, grid64.nodes[:, 2]))
+    val = np.sum(grid64.weights * gegenbauer_eval_many(4, 2, _s2_coordinates(grid64)[1][:, 2]))
     assert abs(val) < 1e-9
 
 
@@ -76,9 +102,10 @@ def _direct_rows(ell, grid):
     """Real harmonic basis at every node by the direct sum over orders: the
     Legendre table times cos/sin of m phi, in the coefficient order of
     simulate_s2 (g[0], then the cos/sin pair of each order m)."""
+    phi = _s2_coordinates(grid)[0]
     a = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
-    mphi = np.arange(1, ell + 1)[:, None] * grid.longitudes[None, :]
-    rows = np.empty((2 * ell + 1, len(grid.cos_colat), len(grid.longitudes)))
+    mphi = np.arange(1, ell + 1)[:, None] * phi[None, :]
+    rows = np.empty((2 * ell + 1, len(grid.cos_colat), len(phi)))
     rows[0] = a[0][:, None]
     rows[1::2] = a[1:, :, None] * np.cos(mphi)[:, None, :]
     rows[2::2] = a[1:, :, None] * np.sin(mphi)[:, None, :]
@@ -89,10 +116,11 @@ def test_synthesis_covariance_is_exact(grid64):
     # dot products of synthesis rows must reproduce the covariance kernel
     ell = 8
     rows = _direct_rows(ell, grid64)
+    nodes = _s2_coordinates(grid64)[1]
     rng = np.random.default_rng(3)
     for _ in range(25):
         n1, n2 = rng.integers(0, grid64.size, 2)
-        target = gegenbauer_eval_many(ell, 2, grid64.nodes[n1] @ grid64.nodes[n2])
+        target = gegenbauer_eval_many(ell, 2, nodes[n1] @ nodes[n2])
         assert rows[:, n1] @ rows[:, n2] == pytest.approx(target, abs=1e-12)
 
 
@@ -143,9 +171,10 @@ def test_mean_zero_and_covariance_law(grid64):
     # ensemble mean at tracked nodes ~ 0 at 3 sigma
     assert np.max(np.abs(vals.mean(axis=0))) <= 3.0 / math.sqrt(reps) + 0.01
     cov = np.cov(vals.T)
+    nodes = _s2_coordinates(grid64)[1]
     worst = 0.0
     for n1, n2 in idx:
-        target = gegenbauer_eval_many(8, 2, grid64.nodes[n1] @ grid64.nodes[n2])
+        target = gegenbauer_eval_many(8, 2, nodes[n1] @ nodes[n2])
         worst = max(worst, abs(cov[pos[n1], pos[n2]] - target))
     assert worst <= 4.0 / math.sqrt(reps)
 
@@ -154,7 +183,7 @@ def test_mean_zero_and_covariance_law(grid64):
 def test_antipodal_symmetry(ell, grid64):
     # tau = pi gives covariance (-1)^ell exactly, so node values at
     # antipodes are equal (even ell) or opposite (odd ell) almost surely
-    m = len(grid64.longitudes)
+    m = len(_s2_coordinates(grid64)[0])
     res = len(grid64.cos_colat)
     s = simulate_s2(ell, grid64, 31415)
     v = s.values.reshape(res, m)
@@ -167,11 +196,12 @@ def test_antipodal_symmetry(ell, grid64):
 def test_covariance_at_right_angle(grid64):
     # pick a pair of near-orthogonal nodes; P_4 has zero slope at 0 so the
     # inner-product offset is second order
-    res, m = len(grid64.cos_colat), len(grid64.longitudes)
+    phi, nodes = _s2_coordinates(grid64)
+    res, m = len(grid64.cos_colat), len(phi)
     i = int(np.argmin(np.abs(grid64.cos_colat)))
     n1 = i * m
     n2 = (res - 1 - i) * m + m // 4
-    assert abs(grid64.nodes[n1] @ grid64.nodes[n2]) < 1e-3
+    assert abs(nodes[n1] @ nodes[n2]) < 1e-3
     reps = 4000
     vals = np.empty((reps, 2))
     for r in range(reps):
@@ -186,13 +216,14 @@ def test_spectral_purity(grid64):
     # quadrature inner products against foreign-degree harmonics vanish
     ell = 8
     s = simulate_s2(ell, grid64, 2024)
-    m_count = len(grid64.longitudes)
+    phi = _s2_coordinates(grid64)[0]
+    m_count = len(phi)
     v = s.values.reshape(-1, m_count)
     w_theta = np.polynomial.legendre.leggauss(len(grid64.cos_colat))[1]
     for k in (6, 11):
         table = _legendre_table(k, grid64.cos_colat)
         for m in (0, 3):
-            basis = table[m][:, None] * np.cos(m * grid64.longitudes)[None, :]
+            basis = table[m][:, None] * np.cos(m * phi)[None, :]
             inner = np.sum(w_theta[:, None] * (2 * math.pi / m_count) * v * basis)
             assert abs(inner) < 1e-9
 
@@ -210,6 +241,8 @@ def test_dense_factor_matches_full_matrix_build(d, res):
     # the row-block, lower-triangle build must give the bits of the plain
     # recipe; n = 961 and 169 end in a partial block, n = 288 does not
     grid = build_grid(d, res)
+    if d == 2:  # the dense route on S^2 needs the coordinates the grid does not keep
+        grid = SphereGrid(2, grid.weights, nodes=_s2_coordinates(grid)[1])
     n = grid.size
     for ell in (0, 1, 8, 33):
         gram = grid.nodes @ grid.nodes.T
@@ -238,7 +271,7 @@ def test_dense_factor_checks_last_block():
     base = build_grid(3, 31)
     nodes = base.nodes.copy()
     nodes[-1] *= 1.0 + 1e-9
-    grid = SphereGrid(3, nodes, base.weights, "quasi-uniform")
+    grid = SphereGrid(3, base.weights, nodes=nodes)
     with pytest.raises(ValueError, match=r"argument out of \[-1, 1\]"):
         _dense_factor(grid, 8)
 
@@ -246,7 +279,8 @@ def test_dense_factor_checks_last_block():
 def test_sd_matches_s2_law():
     # d=2 grid small enough for the dense route: compare empirical
     # covariances from both samplers against the same kernel
-    grid = build_grid(2, 12)
+    g = build_grid(2, 12)
+    grid = SphereGrid(2, g.weights, nodes=_s2_coordinates(g)[1])
     reps = 3000
     rng = np.random.default_rng(9)
     pairs = rng.integers(0, grid.size, (20, 2))
@@ -264,7 +298,9 @@ def test_sd_matches_s2_law():
 def test_isotropy_residuals():
     # covariance residuals must not regress on a non-geodesic feature
     # (longitude difference) once tau is accounted for
-    grid = build_grid(2, 12)
+    g = build_grid(2, 12)
+    phi, nodes = _s2_coordinates(g)
+    grid = SphereGrid(2, g.weights, nodes=nodes)
     reps = 4000
     rng = np.random.default_rng(123)
     pairs = rng.integers(0, grid.size, (30, 2))
@@ -275,7 +311,7 @@ def test_isotropy_residuals():
         vals[r] = simulate_sd(6, grid, replicate_seed(17, r)).values[tracked]
     cov = np.cov(vals.T)
     resid, feature = [], []
-    m = len(grid.longitudes)
+    m = len(phi)
     for n1, n2 in pairs:
         target = gegenbauer_eval_many(6, 2, grid.nodes[n1] @ grid.nodes[n2])
         resid.append(cov[pos[n1], pos[n2]] - target)
@@ -310,6 +346,14 @@ def test_simulate_dispatch(grid64):
     assert simulate(4, g3, 5).values.shape == (g3.size,)
     with pytest.raises(ValueError):
         simulate_s2(4, g3, 5)
+
+
+def test_each_route_refuses_the_other_grid(grid64):
+    with pytest.raises(ValueError, match="simulate_s2"):
+        simulate_sd(4, build_grid(2, 12), 0)
+    dense = SphereGrid(2, grid64.weights, nodes=_s2_coordinates(grid64)[1])
+    with pytest.raises(ValueError, match="product grid"):
+        simulate_s2(4, dense, 0)
 
 
 @pytest.mark.parametrize("d", [2, 3])

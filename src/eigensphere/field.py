@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import gegenbauer_eval_many, sphere_measure
+from .specfun import gauss_legendre, gegenbauer_eval_many, sphere_measure
 
 __all__ = [
     "SphereGrid",
@@ -30,12 +30,14 @@ __all__ = [
 ]
 
 DENSE_NODE_BUDGET = 6000
+S2_NODE_BUDGET = 2**25  # 2 res^2 nodes, so res <= 4096: 256 MiB of weights
 _JITTER_REL = 1e-10
 _KERNEL_ROWS = 8  # covariance rows per kernel call, so its recurrence rows stay in cache
+_TABLE_DOUBLES = 2**17  # an order group's three Legendre row buffers: 1 MiB, kept in cache
 
 
 class GridTooLargeError(ValueError):
-    """Node count exceeds the dense factorization budget."""
+    """Node count exceeds the S^2 grid budget or the dense factorization budget."""
 
 
 class FactorizationError(RuntimeError):
@@ -84,11 +86,15 @@ def _rng_for(seed: int) -> np.random.Generator:
 def build_grid(d: int, resolution: int) -> SphereGrid:
     """Quadrature grid on S^d.
 
-    d = 2: Gauss-Legendre nodes in cos(theta) (``resolution`` of them, kept as
-    ``cos_colat``) crossed with the 2*resolution longitudes 2*pi*j/(2*resolution),
-    which no grid stores (``simulate_s2`` synthesizes each ring by an FFT of
-    that length); weights are the GL weights times 2*pi/(2*resolution).  Exact
-    for spherical polynomials of degree <= 2*resolution - 1.
+    d = 2: Gauss-Legendre nodes in cos(theta) (``resolution`` of them, from
+    ``specfun.gauss_legendre``, kept as ``cos_colat``) crossed with the
+    2*resolution longitudes 2*pi*j/(2*resolution), which no grid stores
+    (``simulate_s2`` synthesizes each ring by an FFT of that length); weights
+    are the GL weights times 2*pi/(2*resolution).  Exact for spherical
+    polynomials of degree <= 2*resolution - 1.  The rule costs O(res^2) flops
+    and O(res) memory; the weights, 2 res^2 doubles, are the grid's only large
+    array.  Over S2_NODE_BUDGET nodes (res > 4096) it raises
+    GridTooLargeError before allocating anything.
 
     d >= 3: Kronecker low-discrepancy sequence of resolution^2 points in
     the unit cube mapped to hyperspherical angles by inverting each
@@ -99,7 +105,12 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
     if resolution < 4:
         raise ValueError(f"resolution must be >= 4, got {resolution}")
     if d == 2:
-        x, w = np.polynomial.legendre.leggauss(resolution)
+        if 2 * resolution * resolution > S2_NODE_BUDGET:
+            raise GridTooLargeError(
+                f"{2 * resolution * resolution} nodes exceeds the S^2 grid budget {S2_NODE_BUDGET}"
+                " (resolution <= 4096)"
+            )
+        x, w = gauss_legendre(resolution)
         m = 2 * resolution
         weights = np.repeat(w, m) * (2.0 * math.pi / m)
         return SphereGrid(2, weights, cos_colat=x)
@@ -165,36 +176,53 @@ def _legendre_table(ell: int, x: np.ndarray) -> np.ndarray:
     """4pi-normalized associated Legendre values p(m, i) for m = 0..ell at
     the colatitude cosines x; satisfies sum_m p^2 = 2*ell + 1 pointwise.
 
-    Sectoral seed then upward recurrence in the degree for each order;
-    this is the standard stable direction.
+    Sectoral rows p(m, m) first, then for each order the upward recurrence
+    in the degree, the standard stable direction.  The recurrence runs
+    degree-major: one vectorised step per degree over every order already
+    started (m <= deg - 2), each order started just before its first step,
+    on three rotating row buffers updated in place.  Orders go in groups of
+    _TABLE_DOUBLES // (3 * len(x)), so that a group's buffers stay in cache;
+    that makes about ell Python steps per group where an order-by-order loop
+    makes ell^2 / 2.  Each value sees the same operations in the same order
+    as in that loop, so the table has the same bits.
     """
     n = len(x)
     u = np.sqrt(np.clip(1.0 - x * x, 0.0, 1.0))
     out = np.empty((ell + 1, n))
+    out[0] = 1.0
     if ell == 0:
-        out[0] = 1.0
         return out
-    pmm = np.ones(n)
-    for m in range(ell + 1):
-        if m == 1:
-            pmm = math.sqrt(3.0) * u
-        elif m > 1:
-            pmm = pmm * u * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
-        if m == ell:
-            out[m] = pmm
-            break
-        p_prev = pmm
-        p_curr = x * math.sqrt(2.0 * m + 3.0) * pmm
-        for deg in range(m + 2, ell + 1):
-            a = math.sqrt((2.0 * deg - 1.0) * (2.0 * deg + 1.0) / ((deg - m) * (deg + m)))
-            b = math.sqrt(
+    out[1] = math.sqrt(3.0) * u
+    for m in range(2, ell + 1):
+        np.multiply(out[m - 1], u, out=out[m])
+        out[m] *= math.sqrt((2.0 * m + 1.0) / (2.0 * m))
+    out[ell - 1] = x * math.sqrt(2.0 * ell + 1.0) * out[ell - 1]  # order ell - 1 takes no step
+    rows = ell - 1  # orders 0..ell-2 take steps
+    group = max(1, _TABLE_DOUBLES // (3 * n))
+    for m0 in range(0, rows, group):
+        m1 = min(rows, m0 + group)
+        prev, curr, scratch = (np.empty((m1 - m0, n)) for _ in range(3))
+        for deg in range(m0 + 2, ell + 1):
+            if deg - 2 < m1:  # start order deg - 2 at p(deg - 2) and p(deg - 1)
+                i = deg - 2 - m0
+                prev[i] = out[deg - 2]
+                np.multiply(x, math.sqrt(2.0 * deg - 1.0), out=curr[i])
+                curr[i] *= out[deg - 2]
+            m = np.arange(m0, min(deg - 1, m1))
+            a = np.sqrt((2.0 * deg - 1.0) * (2.0 * deg + 1.0) / ((deg - m) * (deg + m)))
+            b = np.sqrt(
                 (2.0 * deg + 1.0)
                 * (deg + m - 1.0)
                 * (deg - m - 1.0)
                 / ((deg - m) * (deg + m) * (2.0 * deg - 3.0))
             )
-            p_prev, p_curr = p_curr, a * x * p_curr - b * p_prev
-        out[m] = p_curr
+            k = len(m)
+            step = np.multiply(a[:, None], x, out=scratch[:k])
+            step *= curr[:k]
+            prev[:k] *= b[:, None]
+            np.subtract(step, prev[:k], out=prev[:k])  # (a x) p(deg-1) - b p(deg-2)
+            prev, curr = curr, prev
+        out[m0:m1] = curr
     return out
 
 

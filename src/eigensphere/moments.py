@@ -29,6 +29,7 @@ import numpy as np
 from .specfun import (
     bessel_j,
     bessel_j_derivative,
+    gauss_legendre,
     gegenbauer_eval_many,
     sphere_measure,
 )
@@ -55,8 +56,8 @@ _PANEL_NODES = 16
 
 def _gauss_legendre_panels(edges: np.ndarray, nodes: int):
     """Gauss-Legendre nodes/weights on each panel [edges[i], edges[i+1]],
-    one row per panel."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    one row per panel, mapped from the ``specfun.gauss_legendre`` rule."""
+    xg, wg = gauss_legendre(nodes)
     lo = edges[:-1, None]
     hi = edges[1:, None]
     return 0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg + np.zeros_like(lo)

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from eigensphere.cli import ConfigError, RunConfig, run
+from eigensphere.cli import ConfigError, RunConfig, main, run
 from eigensphere.field import load_field
 
 
@@ -77,6 +77,12 @@ def test_exit_code_numeric_error():
     # 78^2 = 6084 nodes exceed the dense factorization budget
     out = invoke("clt", "--d", "3", "--ell", "2", "--reps", "2", "--grid-resolution", "78")
     assert out.returncode == 3
+
+
+def test_s2_grid_over_budget_is_numeric_error(capsys):
+    # the default defect grid at ell = 2000 has 12000 rings, over the S^2 budget
+    assert main(["defect", "--ell", "2000", "--reps", "2"]) == 3
+    assert "S^2 grid budget" in capsys.readouterr().err
 
 
 def test_exit_code_io_error(tmp_path):

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eigensphere import field
 from eigensphere.field import (
+    S2_NODE_BUDGET,
     FactorizationError,
     GridTooLargeError,
     SphereGrid,
@@ -62,6 +64,20 @@ def test_product_grid_peak_memory():
     assert peak <= 2 * grid.weights.nbytes + 2**20, peak / grid.weights.nbytes
 
 
+def test_s2_grid_budget():
+    # 2 * 4096^2 nodes is the largest grid admitted; one more ring is refused
+    # before anything is allocated
+    assert 2 * 4096**2 == S2_NODE_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLargeError, match="S\\^2 grid budget"):
+            build_grid(2, 4097)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_quasi_uniform_grid():
     g = build_grid(3, 40)
     assert g.size == 1600
@@ -89,6 +105,60 @@ def test_quadrature_exactness(grid64):
 
 
 # ------------------------------------------------------------------ synthesis
+def _order_major_table(ell, x):
+    """The Legendre table by one order at a time: the sectoral seed, then the
+    upward recurrence in the degree for that order alone (ell^2 / 2 steps)."""
+    n = len(x)
+    u = np.sqrt(np.clip(1.0 - x * x, 0.0, 1.0))
+    out = np.empty((ell + 1, n))
+    if ell == 0:
+        out[0] = 1.0
+        return out
+    pmm = np.ones(n)
+    for m in range(ell + 1):
+        if m == 1:
+            pmm = math.sqrt(3.0) * u
+        elif m > 1:
+            pmm = pmm * u * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
+        if m == ell:
+            out[m] = pmm
+            break
+        p_prev = pmm
+        p_curr = x * math.sqrt(2.0 * m + 3.0) * pmm
+        for deg in range(m + 2, ell + 1):
+            a = math.sqrt((2.0 * deg - 1.0) * (2.0 * deg + 1.0) / ((deg - m) * (deg + m)))
+            b = math.sqrt(
+                (2.0 * deg + 1.0)
+                * (deg + m - 1.0)
+                * (deg - m - 1.0)
+                / ((deg - m) * (deg + m) * (2.0 * deg - 3.0))
+            )
+            p_prev, p_curr = p_curr, a * x * p_curr - b * p_prev
+        out[m] = p_curr
+    return out
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 33, 128])
+@pytest.mark.parametrize("res", [4, 5, 64, 65, 257])
+def test_legendre_table_matches_order_major_loop(ell, res):
+    # same operations in the same order per value, so the same bits; GL
+    # cosines and an asymmetric set with both poles and the equator
+    x_gl = build_grid(2, res).cos_colat
+    x_any = np.concatenate([np.cos(np.linspace(0.01, 3.1, res)), [1.0, -1.0, 0.0]])
+    for x in (x_gl, x_any):
+        assert np.array_equal(_legendre_table(ell, x), _order_major_table(ell, x))
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_legendre_table_order_groups(monkeypatch, rows):
+    # orders in groups of 1 and of 7 (the last one partial at ell = 33), as
+    # wide grids run them, give the same bits
+    x = build_grid(2, 65).cos_colat
+    monkeypatch.setattr(field, "_TABLE_DOUBLES", 3 * len(x) * rows)
+    for ell in (2, 3, 33):
+        assert np.array_equal(_legendre_table(ell, x), _order_major_table(ell, x))
+
+
 def test_legendre_table_addition_theorem():
     x = np.linspace(-0.95, 0.95, 9)
     for ell in (1, 2, 5, 40, 128):
@@ -187,7 +257,8 @@ def test_antipodal_symmetry(ell, grid64):
     res = len(grid64.cos_colat)
     s = simulate_s2(ell, grid64, 31415)
     v = s.values.reshape(res, m)
-    flipped = v[::-1, :]  # leggauss nodes are symmetric in cos(theta)
+    assert np.array_equal(grid64.cos_colat, -grid64.cos_colat[::-1])  # gauss_legendre mirrors its nodes
+    flipped = v[::-1, :]
     rolled = np.roll(flipped, m // 2, axis=1)
     sign = 1.0 if ell % 2 == 0 else -1.0
     np.testing.assert_allclose(v, sign * rolled, atol=1e-10)

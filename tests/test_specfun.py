@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from eigensphere import specfun
 from eigensphere.specfun import (
     bessel_j,
     bessel_j_derivative,
     gauss_cdf_array,
+    gauss_legendre,
     gauss_pdf_cdf,
     gegenbauer_eval_many,
     hermite_eval,
@@ -125,6 +127,85 @@ def test_evaluator_memory_and_input():
         tracemalloc.stop()
     assert peak <= 4 * t.nbytes + 2**20
     assert np.array_equal(t, before)
+
+
+# ------------------------------------------------------------ gauss-legendre
+GL_SIZES = [1, 2, 3, 16, 127, 768, 3072]
+
+
+@pytest.mark.parametrize("n", GL_SIZES)
+def test_gauss_legendre_exact_to_degree_2n_minus_1(n):
+    # sum_i w_i P_j(x_i) = 2 delta_j0 for j <= 2n - 1, by Bonnet's recurrence
+    # at the nodes (numpy's eigensolver rule misses by 4e-13 at n = 3072)
+    x, w = gauss_legendre(n)
+    p_prev, p = np.ones_like(x), x.copy()
+    errs = [abs(w.sum() - 2.0), abs(w @ x)]
+    for k in range(1, 2 * n - 1):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        errs.append(abs(w @ p))
+    assert max(errs) <= 1e-14, (n, int(np.argmax(errs)), max(errs))
+
+
+@pytest.mark.parametrize("n", GL_SIZES)
+def test_gauss_legendre_weights_at_exact_roots(n):
+    # reference in extended precision: one Newton step polishes each node to
+    # a long double root r, and there the weight 2 (1 - r^2) / (n P_(n-1)(r))^2
+    # equals 2 / ((1 - r^2) P_n'(r)^2), the form used here because it is
+    # n + 1 times less sensitive to the rounding of r itself
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is no wider than double here")
+    x, w = gauss_legendre(n)
+
+    def p_and_slope(r):
+        p_prev, p = np.ones_like(r), r.copy()
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * r * p - k * p_prev) / (k + 1)
+        one_minus = (1 - r) * (1 + r)
+        return p, n * (p_prev - r * p) / one_minus, one_minus
+
+    r = x.astype(np.longdouble)
+    p, dp, _ = p_and_slope(r)
+    r = r - p / dp
+    _, dp, one_minus = p_and_slope(r)
+    ref = 2 / (one_minus * dp * dp)
+    assert float(np.max(np.abs(w / ref - 1))) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 65, 127, 768])
+def test_gauss_legendre_matches_numpy_rule(n):
+    # nodes within 4 ulp on [0.5, 1) (np.spacing(1.0) / 2) of numpy's
+    # eigensolver rule; near 0 both are off by several ulps of the node itself
+    x, _ = gauss_legendre(n)
+    x_np, _ = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - x_np)) <= 4 * np.spacing(0.5)
+
+
+@pytest.mark.parametrize("n", GL_SIZES)
+def test_gauss_legendre_symmetry(n):
+    x, w = gauss_legendre(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    if n % 2:
+        assert x[n // 2] == 0.0
+
+
+def test_gauss_legendre_memory():
+    # O(n): numpy's eigensolver rule peaks at 72 MiB here
+    tracemalloc.start()
+    try:
+        gauss_legendre(3072)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+def test_gauss_legendre_refuses_unconverged_rule(monkeypatch):
+    with pytest.raises(ValueError):
+        gauss_legendre(0)
+    monkeypatch.setattr(specfun, "_GL_MAX_STEPS", 1)  # Tricomi's guesses need more
+    with pytest.raises(RuntimeError, match="did not converge"):
+        gauss_legendre(768)
 
 
 # ------------------------------------------------------------------- hermite

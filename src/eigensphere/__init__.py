@@ -30,10 +30,8 @@ from .field import (
     simulate_sd,
 )
 from .functionals import (
-    ChaosCoefficients,
     defect,
     excursion_volume,
-    generic_functional,
     hermite_projection,
     indicator_coeffs,
 )

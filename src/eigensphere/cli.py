@@ -117,17 +117,8 @@ def _rows_simulate(cfg: RunConfig) -> tuple[list[str], list[list]]:
         sample = simulate(ell, grid, cfg.seed)
         if cfg.output:
             dump_field(sample, f"{cfg.output}.l{ell}.field")
-        rows.append(
-            [
-                cfg.d,
-                ell,
-                res,
-                cfg.seed,
-                float(np.mean(sample.values)),
-                float(np.var(sample.values)),
-                grid.size,
-            ]
-        )
+        values = sample.values  # the one whole field an S^2 command builds
+        rows.append([cfg.d, ell, res, cfg.seed, float(np.mean(values)), float(np.var(values)), grid.size])
     return ["d", "ell", "resolution", "seed", "value", "node_var", "n_nodes"], rows
 
 
@@ -139,7 +130,7 @@ def _expansion_variance(z: float, truncation: int, ell: int, d: int) -> float:
 
     if ell % 2 != 0 or ell < 2:
         return math.nan
-    coeffs = indicator_coeffs(z, truncation).coeffs
+    coeffs = indicator_coeffs(z, truncation)
     return sum(
         coeffs[q] ** 2 * projection_variance(ell, q, d) / math.factorial(q) ** 2
         for q in range(2, truncation + 1)
@@ -157,6 +148,10 @@ def _excursion_stats(cfg: RunConfig, ell: int, s) -> list:
 def _clt_stats(cfg: RunConfig, ell: int, s) -> list:
     from .stats import variance_stderr
 
+    if cfg.d == 2 and cfg.q % 2 == 1 and ell % 2 == 1:
+        # the field is odd under the antipodal map and every S^2 grid is mirrored,
+        # so h_q is exactly 0: report that, not statistics of its roundoff
+        return [0.0, 0.0, math.nan, math.nan, math.nan]
     return [s.variance, variance_stderr(s.values), s.ks_to_normal, s.w1_to_normal, s.cum4]
 
 
@@ -205,7 +200,7 @@ _COMMANDS = {
 
 def _write(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
     if cfg.fmt == "json":
-        # JSON has no NaN or infinity (expansion_variance at odd degrees): null
+        # JSON has no NaN or infinity (odd-degree expansion_variance, clt diagnostics): null
         payload = [
             {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in zip(header, row)}
             for row in rows

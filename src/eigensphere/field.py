@@ -1,7 +1,8 @@
 """Sampling of single-multipole Gaussian fields on discretized spheres.
 
 d = 2 synthesizes exactly, one inverse real FFT per ring of latitude, on a product
-grid that stores only its weights and colatitude cosines (no covariance factorization).
+grid that stores only its ring weights and colatitude cosines; a draw keeps its
+coefficients and is synthesized a cache-sized block of rings at a time.
 d >= 3 Cholesky-factors the dense covariance on a quasi-uniform node set (N <= 6000),
 built in place in row blocks: factoring holds 3 N^2 doubles at its peak.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,15 +27,17 @@ __all__ = [
     "simulate_s2",
     "simulate_sd",
     "replicate_seed",
+    "ring_blocks",
     "dump_field",
     "load_field",
 ]
 
 DENSE_NODE_BUDGET = 6000
-S2_NODE_BUDGET = 2**25  # 2 res^2 nodes, so res <= 4096: 256 MiB of weights
+S2_NODE_BUDGET = 2**25  # 2 res^2 nodes, so res <= 4096: 256 MiB of node values
 _JITTER_REL = 1e-10
 _KERNEL_ROWS = 8  # covariance rows per kernel call, so its recurrence rows stay in cache
 _TABLE_DOUBLES = 2**17  # an order group's three Legendre row buffers: 1 MiB, kept in cache
+_BLOCK_DOUBLES = 2**16  # one block of synthesized rings: 512 KiB, kept in cache
 
 
 class GridTooLargeError(ValueError):
@@ -46,29 +50,43 @@ class FactorizationError(RuntimeError):
 
 @dataclass(eq=False)
 class SphereGrid:
-    """Quadrature grid on S^d: positive weights summing to the surface
-    measure, and what one sampler reads: ``cos_colat`` on an S^2 product grid
-    (``simulate_s2``), ``nodes`` on a grid for the dense route (``simulate_sd``)."""
+    """Quadrature grid on S^d: positive weights whose node total is the surface
+    measure, and what one sampler reads: ``cos_colat`` and one weight per ring on
+    an S^2 product grid (``simulate_s2``), ``nodes`` and one weight per node on a
+    grid for the dense route (``simulate_sd``)."""
 
     d: int
-    weights: np.ndarray  # (N,)
+    weights: np.ndarray  # (res,) per ring on a product grid, (N,) per node otherwise
     nodes: np.ndarray | None = None  # (N, d+1), the dense route
     cos_colat: np.ndarray | None = None  # (res,), the S^2 product route
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def size(self) -> int:
+        """Number of nodes."""
+        if self.cos_colat is not None:
+            return 2 * len(self.cos_colat) ** 2
         return len(self.weights)
 
 
-@dataclass(frozen=True)
 class FieldSample:
-    """One realization of the degree-ell field on a grid, with provenance."""
+    """One realization of the degree-ell field on a grid: its node values on
+    the dense route; on an S^2 product grid its harmonic coefficients ``coef``
+    (one per order, scaled for the ring FFT), which ``ring_blocks`` synthesizes
+    a block of rings at a time and ``values`` in full, only when read."""
 
-    grid: SphereGrid
-    values: np.ndarray
-    ell: int
-    seed: int
+    def __init__(self, grid: SphereGrid, ell: int, values=None, coef=None):
+        self.grid, self.ell, self.coef = grid, ell, coef
+        if values is not None:
+            self.values = values
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        res = len(self.grid.cos_colat)
+        out = np.empty((res, 2 * res))
+        for rings, block in ring_blocks(self):
+            out[rings] = block
+        return out.ravel()
 
 
 def replicate_seed(master_seed: int, index: int) -> int:
@@ -89,11 +107,11 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
     d = 2: Gauss-Legendre nodes in cos(theta) (``resolution`` of them, from
     ``specfun.gauss_legendre``, kept as ``cos_colat``) crossed with the
     2*resolution longitudes 2*pi*j/(2*resolution), which no grid stores
-    (``simulate_s2`` synthesizes each ring by an FFT of that length); weights
-    are the GL weights times 2*pi/(2*resolution).  Exact for spherical
+    (``simulate_s2`` synthesizes each ring by an FFT of that length); the ring
+    weights are the GL weights times 2*pi/(2*resolution).  Exact for spherical
     polynomials of degree <= 2*resolution - 1.  The rule costs O(res^2) flops
-    and O(res) memory; the weights, 2 res^2 doubles, are the grid's only large
-    array.  Over S2_NODE_BUDGET nodes (res > 4096) it raises
+    and O(res) memory, and the grid keeps O(res) numbers.  Over S2_NODE_BUDGET
+    nodes (res > 4096), whose whole-field values would pass 256 MiB, it raises
     GridTooLargeError before allocating anything.
 
     d >= 3: Kronecker low-discrepancy sequence of resolution^2 points in
@@ -111,9 +129,7 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
                 " (resolution <= 4096)"
             )
         x, w = gauss_legendre(resolution)
-        m = 2 * resolution
-        weights = np.repeat(w, m) * (2.0 * math.pi / m)
-        return SphereGrid(2, weights, cos_colat=x)
+        return SphereGrid(2, w * (2.0 * math.pi / (2 * resolution)), cos_colat=x)
     n = resolution * resolution
     u = _kronecker_sequence(n, d)
     nodes = _angles_to_sphere(u, d)
@@ -236,9 +252,10 @@ def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     polynomial of the cosine of geodesic distance, and pointwise variance
     is exactly 1.
 
-    On the rings of ``build_grid(2, res)`` each ring is one inverse real FFT
-    of length 2*res over the orders m = 0..ell; for ell >= res (the ring's
-    Nyquist order) it runs on a k-fold finer ring and keeps every k-th sample.
+    The sample keeps the coefficients: ``ring_blocks`` makes each ring of
+    ``build_grid(2, res)`` one inverse real FFT of length 2*res over the orders
+    m = 0..ell (for ell >= res, the ring's Nyquist order, a k-fold finer ring
+    keeping every k-th sample).
     """
     if grid.d != 2 or grid.cos_colat is None:
         raise ValueError(f"simulate_s2 needs a d=2 product grid from build_grid, got d={grid.d}")
@@ -246,14 +263,40 @@ def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     if key not in grid._cache:  # ring-major: one row of orders per colatitude
         table = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
         grid._cache[key] = np.ascontiguousarray(table.T)
-    k = ell // len(grid.cos_colat) + 1
-    n = 2 * k * len(grid.cos_colat)
+    n = 2 * (ell // len(grid.cos_colat) + 1) * len(grid.cos_colat)
     g = _rng_for(seed).standard_normal(2 * ell + 1)
     coef = np.empty(ell + 1, dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
     coef[0] = n * g[0]
     coef[1:] = (0.5 * n) * (g[1::2] - 1j * g[2::2])
-    values = np.fft.irfft(grid._cache[key] * coef, n=n)[:, ::k].ravel()
-    return FieldSample(grid, values, ell, seed)
+    return FieldSample(grid, ell, coef=coef)
+
+
+_SCRATCH: dict[str, np.ndarray] = {}
+
+
+def scratch(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """A view of the process-wide buffer ``name``, grown on demand: every draw
+    reuses it, so the ring loop allocates no block after the first draw."""
+    size = math.prod(shape)
+    if name not in _SCRATCH or _SCRATCH[name].size < size:
+        _SCRATCH[name] = np.empty(size, dtype)
+    return _SCRATCH[name][:size].reshape(shape)
+
+
+def ring_blocks(sample: FieldSample):
+    """Yield (ring slice, values) over an S^2 product-grid sample, blocks of
+    about _BLOCK_DOUBLES: irfft(table[rings] * coef) in scratch, valid until
+    the next block."""
+    table = sample.grid._cache[("legendre", sample.ell)]
+    res, k = len(table), sample.ell // len(table) + 1
+    rows = max(1, min(res, _BLOCK_DOUBLES // (2 * k * res)))
+    spectra = scratch("spectra", (rows, sample.ell + 1), complex)
+    rings = scratch("rings", (rows, 2 * k * res))
+    for r0 in range(0, res, rows):
+        n = min(rows, res - r0)
+        np.multiply(table[r0 : r0 + n], sample.coef, out=spectra[:n])
+        np.fft.irfft(spectra[:n], n=2 * k * res, out=rings[:n])
+        yield slice(r0, r0 + n), rings[:n, ::k]
 
 
 def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
@@ -289,7 +332,7 @@ def simulate_sd(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     L z with L L^T = [G(<x_i, x_j>)] + jitter I and z i.i.d. N(0,1)."""
     factor = _dense_factor(grid, ell)
     z = _rng_for(seed).standard_normal(grid.size)
-    return FieldSample(grid, factor @ z, ell, seed)
+    return FieldSample(grid, ell, values=factor @ z)
 
 
 def simulate(ell: int, grid: SphereGrid, seed: int) -> FieldSample:

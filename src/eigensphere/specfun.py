@@ -161,9 +161,11 @@ def gegenbauer_eval_many(ell: int, d: int, t):
     return g if t.ndim else g[0]
 
 
-def hermite_eval(q: int, t):
+def hermite_eval(q: int, t, work: np.ndarray | None = None):
     """Probabilists' Hermite H_q at t (scalar or array), via
-    H_{k+1} = t H_k - k H_{k-1}.
+    H_{k+1} = t H_k - k H_{k-1} on three rotating rows of ``work``, an array
+    of shape (3, *t.shape).  Given one, the evaluation allocates nothing and
+    returns a view into it; otherwise it allocates one.
 
     No scaling is applied; q stays small (<= ~12) in every experiment so
     the values remain well inside double range.
@@ -171,12 +173,15 @@ def hermite_eval(q: int, t):
     if q < 0:
         raise ValueError(f"Hermite order must be >= 0, got {q}")
     arr = np.asarray(t, dtype=float)
-    if q == 0:
-        h = np.ones_like(arr)
-    else:
-        h_prev, h = np.ones_like(arr), arr.copy()
-        for k in range(1, q):
-            h_prev, h = h, arr * h - k * h_prev
+    work = np.empty((3, *arr.shape)) if work is None else work
+    h_prev, h, tmp = work[0, ...], work[1, ...], work[2, ...]
+    h_prev[...], h[...] = 1.0, arr
+    for k in range(1, q):
+        np.multiply(arr, h, out=tmp)
+        h_prev *= k
+        np.subtract(tmp, h_prev, out=h_prev)  # t H_k - k H_{k-1}
+        h_prev, h, tmp = h, h_prev, tmp
+    h = h_prev if q == 0 else h
     return float(h) if arr.ndim == 0 else h
 
 

@@ -43,6 +43,20 @@ def test_clt_rerun_byte_identical(tmp_path):
     assert header == "d,ell,q,resolution,replicates,seed,value,stderr,ks,w1,cum4"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_clt_odd_order_at_odd_degree_is_exact_zero(fmt):
+    # h_3 vanishes identically at odd ell on S^2: the row states 0 and leaves the
+    # distribution diagnostics undefined rather than standardizing roundoff
+    out = invoke("clt", "--q", "3", "--d", "2", "--ell", "32,33", "--reps", "100", "--format", fmt)
+    assert out.returncode == 0
+    rows = json.loads(out.stdout) if fmt == "json" else list(csv.DictReader(out.stdout.splitlines()))
+    even, odd = rows
+    assert float(even["value"]) > 0 and float(even["ks"]) > 0
+    assert float(odd["value"]) == 0.0 and float(odd["stderr"]) == 0.0
+    undefined = None if fmt == "json" else "nan"
+    assert [odd[k] for k in ("ks", "w1", "cum4")] == [undefined] * 3
+
+
 def test_json_output(tmp_path):
     path = tmp_path / "m.json"
     out = invoke("moments", "--q", "3", "--d", "2", "--ell", "4,8", "--format", "json",

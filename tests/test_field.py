@@ -44,24 +44,33 @@ def _s2_coordinates(grid):
     return phi, nodes
 
 
+def _dense_copy(grid):
+    """The same S^2 grid for the dense route: every node with its coordinates
+    and its ring's weight."""
+    res = len(grid.cos_colat)
+    return SphereGrid(2, np.repeat(grid.weights, 2 * res), nodes=_s2_coordinates(grid)[1])
+
+
 # ---------------------------------------------------------------------- grids
 def test_product_grid(grid64):
     assert grid64.size == 64 * 128
     assert grid64.nodes is None
-    assert abs(grid64.weights.sum() - 4.0 * math.pi) < 1e-10
+    assert grid64.weights.shape == (64,)  # one per ring, shared by its 128 nodes
+    assert abs(128 * grid64.weights.sum() - 4.0 * math.pi) < 1e-10
     assert np.max(np.abs(np.linalg.norm(_s2_coordinates(grid64)[1], axis=1) - 1.0)) < 1e-12
     assert np.all(grid64.weights > 0)
 
 
 def test_product_grid_peak_memory():
-    # the weights are the only N-sized array an S^2 grid keeps or builds
+    # an S^2 grid keeps and builds O(res) numbers, never one per node
+    res = 512
     tracemalloc.start()
     try:
-        grid = build_grid(2, 512)
+        build_grid(2, res)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * grid.weights.nbytes + 2**20, peak / grid.weights.nbytes
+    assert peak <= 16 * 8 * res, peak / (8 * res)
 
 
 def test_s2_grid_budget():
@@ -100,7 +109,7 @@ def test_grid_validation():
 def test_quadrature_exactness(grid64):
     # eigenfunctions have zero mean; Gauss-Legendre integrates the degree-4
     # kernel exactly; the cosine of the distance to the north pole is z
-    val = np.sum(grid64.weights * gegenbauer_eval_many(4, 2, _s2_coordinates(grid64)[1][:, 2]))
+    val = np.sum(np.repeat(grid64.weights, 128) * gegenbauer_eval_many(4, 2, _s2_coordinates(grid64)[1][:, 2]))
     assert abs(val) < 1e-9
 
 
@@ -313,7 +322,7 @@ def test_dense_factor_matches_full_matrix_build(d, res):
     # recipe; n = 961 and 169 end in a partial block, n = 288 does not
     grid = build_grid(d, res)
     if d == 2:  # the dense route on S^2 needs the coordinates the grid does not keep
-        grid = SphereGrid(2, grid.weights, nodes=_s2_coordinates(grid)[1])
+        grid = _dense_copy(grid)
     n = grid.size
     for ell in (0, 1, 8, 33):
         gram = grid.nodes @ grid.nodes.T
@@ -350,8 +359,7 @@ def test_dense_factor_checks_last_block():
 def test_sd_matches_s2_law():
     # d=2 grid small enough for the dense route: compare empirical
     # covariances from both samplers against the same kernel
-    g = build_grid(2, 12)
-    grid = SphereGrid(2, g.weights, nodes=_s2_coordinates(g)[1])
+    grid = _dense_copy(build_grid(2, 12))
     reps = 3000
     rng = np.random.default_rng(9)
     pairs = rng.integers(0, grid.size, (20, 2))
@@ -370,8 +378,7 @@ def test_isotropy_residuals():
     # covariance residuals must not regress on a non-geodesic feature
     # (longitude difference) once tau is accounted for
     g = build_grid(2, 12)
-    phi, nodes = _s2_coordinates(g)
-    grid = SphereGrid(2, g.weights, nodes=nodes)
+    phi, grid = _s2_coordinates(g)[0], _dense_copy(g)
     reps = 4000
     rng = np.random.default_rng(123)
     pairs = rng.integers(0, grid.size, (30, 2))
@@ -422,7 +429,7 @@ def test_simulate_dispatch(grid64):
 def test_each_route_refuses_the_other_grid(grid64):
     with pytest.raises(ValueError, match="simulate_s2"):
         simulate_sd(4, build_grid(2, 12), 0)
-    dense = SphereGrid(2, grid64.weights, nodes=_s2_coordinates(grid64)[1])
+    dense = _dense_copy(grid64)
     with pytest.raises(ValueError, match="product grid"):
         simulate_s2(4, dense, 0)
 

@@ -1,16 +1,17 @@
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigensphere.field import build_grid, replicate_seed, simulate_s2
+from eigensphere import field
+from eigensphere.field import build_grid, replicate_seed, simulate, simulate_s2
 from eigensphere.functionals import (
-    ChaosCoefficients,
     defect,
     excursion_volume,
-    generic_functional,
     hermite_projection,
     indicator_coeffs,
 )
@@ -18,6 +19,52 @@ from eigensphere.moments import projection_variance
 from eigensphere.specfun import gauss_pdf_cdf, hermite_eval, sphere_measure
 
 MU2 = sphere_measure(2)
+
+
+def flat_integral(sample, f):
+    """The quadrature integral over every node at once: each ring's weight
+    repeated over its 2*res nodes, times f of the whole field."""
+    w = np.repeat(sample.grid.weights, 2 * len(sample.grid.cos_colat))
+    return float(np.sum(w * f(sample.values)))
+
+
+# -------------------------------------------- reference chaos expansion
+@dataclass(frozen=True)
+class ChaosCoefficients:
+    """Truncated Hermite coefficients J_0..J_Q of a square-integrable
+    nonlinearity.  J_0 is kept for mean bookkeeping only; expansions use
+    the centered series starting at the rank."""
+
+    coeffs: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.coeffs) < 3:
+            raise ValueError("need coefficients at least up to order 2")
+        tail = self.coeffs[self.truncation] ** 2 / math.factorial(self.truncation)
+        if tail > 1e-2:
+            raise ValueError(f"last retained coefficient too heavy: J_Q^2/Q! = {tail:.3e}")
+
+    @property
+    def truncation(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def rank(self) -> int | None:
+        """Smallest q >= 1 with J_q != 0, or None when all vanish."""
+        return next((q for q in range(1, len(self.coeffs)) if self.coeffs[q] != 0.0), None)
+
+
+def generic_functional(sample, coeffs: ChaosCoefficients) -> float:
+    """Centered truncated expansion sum_{q=1}^{Q} (J_q / q!) integral of
+    H_q(field), by the flat node sum; cross-checks direct evaluation of the
+    nonlinearity."""
+    if coeffs.rank is None:
+        raise ValueError("all J_q vanish for q >= 1: Hermite rank undefined")
+    return sum(
+        c / math.factorial(q) * flat_integral(sample, lambda v, q=q: hermite_eval(q, v))
+        for q, c in enumerate(coeffs.coeffs)
+        if q >= 1 and c != 0.0
+    )
 
 
 @pytest.fixture(scope="module")
@@ -34,26 +81,29 @@ def sample(grid):
 def test_indicator_coeffs_z0():
     c = indicator_coeffs(0.0)
     phi0 = gauss_pdf_cdf(0.0)[0]
-    assert c.coeffs[0] == 0.5  # 1 - Phi(0)
-    assert c.coeffs[1] == pytest.approx(phi0, abs=1e-16)
-    assert c.coeffs[2] == 0.0  # H_1(0) phi(0): the level kills rank 2
-    assert c.rank == 1
+    assert len(c) == 9
+    assert c[0] == 0.5  # 1 - Phi(0)
+    assert c[1] == pytest.approx(phi0, abs=1e-16)
+    assert c[2] == 0.0  # H_1(0) phi(0): the level kills rank 2
+    assert ChaosCoefficients(c).rank == 1
 
 
 def test_indicator_coeffs_z1():
     c = indicator_coeffs(1.0)
     pdf1, cdf1 = gauss_pdf_cdf(1.0)
-    assert c.coeffs[0] == pytest.approx(1.0 - cdf1, abs=1e-16)
-    assert c.coeffs[2] == pytest.approx(1.0 * pdf1, abs=1e-16)  # H_1(1) phi(1)
+    assert c[0] == pytest.approx(1.0 - cdf1, abs=1e-16)
+    assert c[2] == pytest.approx(1.0 * pdf1, abs=1e-16)  # H_1(1) phi(1)
     for q in range(1, 9):
-        assert c.coeffs[q] == pytest.approx(hermite_eval(q - 1, 1.0) * pdf1, abs=1e-15)
+        assert c[q] == pytest.approx(hermite_eval(q - 1, 1.0) * pdf1, abs=1e-15)
+    with pytest.raises(ValueError, match="too heavy"):  # J_2^2 / 2! = 0.029
+        indicator_coeffs(1.0, 2)
 
 
 def test_indicator_mean_link(grid):
     # J_0 = 1 - Phi(z) matches the ensemble-mean formula E[S]/mu_d
     for z in (-1.3, 0.0, 0.7, 2.2):
         c = indicator_coeffs(z)
-        assert c.coeffs[0] == pytest.approx(1.0 - gauss_pdf_cdf(z)[1], abs=1e-15)
+        assert c[0] == pytest.approx(1.0 - gauss_pdf_cdf(z)[1], abs=1e-15)
 
 
 def test_chaos_coefficients_validation():
@@ -113,13 +163,53 @@ def test_defect_mean_zero(grid):
     assert abs(vals.mean()) <= 3.0 * vals.std(ddof=1) / math.sqrt(reps)
 
 
-def test_defect_zero_nodes_contribute_nothing(grid):
-    s = simulate_s2(8, grid, 777)
-    forced = s.values.copy()
-    forced[:100] = 0.0
-    patched = type(s)(s.grid, forced, s.ell, s.seed)
-    expected = float(np.sum(grid.weights[100:] * np.sign(forced[100:])))
-    assert defect(patched) == pytest.approx(expected, abs=1e-14)
+def test_defect_zero_nodes_contribute_nothing():
+    # keep only order 0 at odd degree: P_9(0) = 0 exactly, so the equator ring
+    # of an odd-resolution grid is exactly zero and no other node is
+    grid = build_grid(2, 65)
+    s = simulate_s2(9, grid, 777)
+    s.coef[1:] = 0.0
+    v = s.values.reshape(65, 130)
+    rest = np.delete(np.arange(65), 32)
+    assert np.all(v[32] == 0.0) and np.all(v[rest] != 0.0)
+    expected = float(np.sum(grid.weights[rest, None] * np.sign(v[rest])))
+    assert defect(s) == pytest.approx(expected, abs=1e-14)
+
+
+# ------------------------------------------------------ ring-block streaming
+@pytest.mark.parametrize("ell, res", [(8, 64), (40, 201), (250, 201), (128, 768)])
+def test_streamed_functionals_match_flat_sum(ell, res):
+    # the ring-block reductions against one flat sum over all nodes: (8, 64) is
+    # one block; 201 rings (odd) go in blocks of 163 at ell = 40 and, on the
+    # 2-fold ring of ell >= res, of 81; the defect grid of ell = 128 in blocks of 42
+    grid = build_grid(2, res)
+    rows = field._BLOCK_DOUBLES // (2 * (ell // res + 1) * res)
+    assert rows >= res or res % rows != 0
+    s = simulate_s2(ell, grid, 2718)
+    cases = [
+        (defect(s), np.sign),
+        (excursion_volume(s, 0.5), lambda v: v > 0.5),
+        (hermite_projection(s, 2), lambda v: hermite_eval(2, v)),
+        (hermite_projection(s, 3), lambda v: hermite_eval(3, v)),
+    ]
+    for value, f in cases:
+        assert value == pytest.approx(flat_integral(s, f), rel=1e-13)
+
+
+def test_defect_replicate_builds_no_field(monkeypatch):
+    # one replicate on the default defect grid of ell = 128 stays far below a
+    # single 2 res^2 array (9.4 MB): under its Legendre table plus 2 MiB
+    grid = build_grid(2, 768)
+    defect(simulate(128, grid, 0))  # builds the table
+    table = grid._cache[("legendre", 128)]
+    monkeypatch.setattr(field, "_SCRATCH", {})  # count the block buffers too
+    tracemalloc.start()
+    try:
+        defect(simulate(128, grid, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 2**21, peak
 
 
 # ---------------------------------------------------------------- projections
@@ -161,7 +251,7 @@ def test_generic_rank_undefined(sample):
 def test_expansion_tracks_excursion(grid):
     # truncated expansion of the level-1 indicator correlates > 0.99 with
     # the centered excursion volume at degree 32
-    coeffs = indicator_coeffs(1.0, 8)
+    coeffs = ChaosCoefficients(indicator_coeffs(1.0, 8))
     mean = MU2 * (1.0 - gauss_pdf_cdf(1.0)[1])
     reps = 400
     direct = np.empty(reps)
@@ -180,7 +270,7 @@ def test_expansion_l2_error_within_tail_bound():
     # grid must be fine enough that indicator-quadrature noise (variance
     # ~ (ell/resolution)^3) sits well below that bound
     fine = build_grid(2, 384)
-    coeffs = indicator_coeffs(1.0, 8)
+    coeffs = ChaosCoefficients(indicator_coeffs(1.0, 8))
     ell, reps = 32, 400
     pdf1, cdf1 = gauss_pdf_cdf(1.0)
     tail = sum(

@@ -117,8 +117,17 @@ def _rows_simulate(cfg: RunConfig) -> tuple[list[str], list[list]]:
         sample = simulate(ell, grid, cfg.seed)
         if cfg.output:
             dump_field(sample, f"{cfg.output}.l{ell}.field")
-        values = sample.values  # the one whole field an S^2 command builds
-        rows.append([cfg.d, ell, res, cfg.seed, float(np.mean(values)), float(np.var(values)), grid.size])
+        rows.append(
+            [
+                cfg.d,
+                ell,
+                res,
+                cfg.seed,
+                float(np.mean(sample.values)),
+                float(np.var(sample.values)),
+                grid.size,
+            ]
+        )
     return ["d", "ell", "resolution", "seed", "value", "node_var", "n_nodes"], rows
 
 

@@ -203,9 +203,10 @@ def test_synthesis_covariance_is_exact(grid64):
         assert rows[:, n1] @ rows[:, n2] == pytest.approx(target, abs=1e-12)
 
 
-@pytest.mark.parametrize("ell, res", [(8, 64), (12, 12), (13, 12), (40, 12)])
+@pytest.mark.parametrize("ell, res", [(8, 64), (12, 12), (13, 12), (40, 12), (5, 200)])
 def test_fft_synthesis_matches_direct_sum(ell, res):
-    # k = ell // res + 1 is 1, 2 (ell = res is the ring's Nyquist order), 2 and 4
+    # k = ell // res + 1 is 1, 2 (ell = res is the ring's Nyquist order), 2 and 4;
+    # the 200 rings of (5, 200) are synthesized in two blocks, of 163 and 37
     grid = build_grid(2, res)
     for seed in (0, 11):
         g = _rng_for(seed).standard_normal(2 * ell + 1)

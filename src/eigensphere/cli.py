@@ -157,10 +157,6 @@ def _excursion_stats(cfg: RunConfig, ell: int, s) -> list:
 def _clt_stats(cfg: RunConfig, ell: int, s) -> list:
     from .stats import variance_stderr
 
-    if cfg.d == 2 and cfg.q % 2 == 1 and ell % 2 == 1:
-        # the field is odd under the antipodal map and every S^2 grid is mirrored,
-        # so h_q is exactly 0: report that, not statistics of its roundoff
-        return [0.0, 0.0, math.nan, math.nan, math.nan]
     return [s.variance, variance_stderr(s.values), s.ks_to_normal, s.w1_to_normal, s.cum4]
 
 

@@ -2,7 +2,9 @@
 
 d = 2 synthesizes exactly, one inverse real FFT per ring of latitude, on a product
 grid that stores only its ring weights and colatitude cosines; a draw keeps its
-coefficients and is synthesized a cache-sized block of rings at a time.
+coefficients and is synthesized a cache-sized block of rings at a time, northern
+rings only: the grid is mirrored and f(-x) = (-1)^ell f(x), so a southern ring is
+its mirror rolled half a turn, times (-1)^ell.
 d >= 3 Cholesky-factors the dense covariance on a quasi-uniform node set (N <= 6000),
 built in place in row blocks: factoring holds 3 N^2 doubles at its peak.
 """
@@ -83,9 +85,13 @@ class FieldSample:
     @cached_property
     def values(self) -> np.ndarray:
         res = len(self.grid.cos_colat)
+        half = res // 2
         out = np.empty((res, 2 * res))
         for rings, block in ring_blocks(self):
             out[rings] = block
+        # southern ring i is northern ring res - 1 - i, half a turn on, times (-1)^ell
+        south = np.roll(out[: res - half - 1 : -1], res, axis=1)
+        np.multiply(south, -1.0 if self.ell % 2 else 1.0, out=out[:half])
         return out.ravel()
 
 
@@ -252,16 +258,21 @@ def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     polynomial of the cosine of geodesic distance, and pointwise variance
     is exactly 1.
 
-    The sample keeps the coefficients: ``ring_blocks`` makes each ring of
-    ``build_grid(2, res)`` one inverse real FFT of length 2*res over the orders
-    m = 0..ell (for ell >= res, the ring's Nyquist order, a k-fold finer ring
-    keeping every k-th sample).
+    The sample keeps the coefficients: ``ring_blocks`` makes each northern ring
+    of ``build_grid(2, res)`` (cos_colat >= 0) one inverse real FFT of length
+    2*res over the orders m = 0..ell (for ell >= res, the ring's Nyquist order, a
+    k-fold finer ring keeping every k-th sample).  The southern rings are never
+    synthesized: the cosines are mirrored, P_ell^m(-x) = (-1)^(ell+m) P_ell^m(x),
+    and half a turn multiplies order m by (-1)^m, so the ring at -x is the ring
+    at x rolled by res samples, times (-1)^ell.  The cached Legendre table holds
+    (ell + 1) * ceil(res / 2) doubles.
     """
     if grid.d != 2 or grid.cos_colat is None:
         raise ValueError(f"simulate_s2 needs a d=2 product grid from build_grid, got d={grid.d}")
     key = ("legendre", ell)
-    if key not in grid._cache:  # ring-major: one row of orders per colatitude
-        table = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
+    if key not in grid._cache:  # ring-major: one row of orders per northern colatitude
+        north = grid.cos_colat[len(grid.cos_colat) // 2 :]
+        table = _legendre_table(ell, north) / math.sqrt(2.0 * ell + 1.0)
         grid._cache[key] = np.ascontiguousarray(table.T)
     n = 2 * (ell // len(grid.cos_colat) + 1) * len(grid.cos_colat)
     g = _rng_for(seed).standard_normal(2 * ell + 1)
@@ -284,19 +295,21 @@ def scratch(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
 
 
 def ring_blocks(sample: FieldSample):
-    """Yield (ring slice, values) over an S^2 product-grid sample, blocks of
-    about _BLOCK_DOUBLES: irfft(table[rings] * coef) in scratch, valid until
-    the next block."""
+    """Yield (ring slice, values) over the northern rings of an S^2 product-grid
+    sample, the equator of an odd res first, in blocks of about _BLOCK_DOUBLES:
+    irfft(table[rings] * coef) in scratch, valid until the next block.  The
+    slices index the grid's rings, res // 2 to res - 1."""
     table = sample.grid._cache[("legendre", sample.ell)]
-    res, k = len(table), sample.ell // len(table) + 1
-    rows = max(1, min(res, _BLOCK_DOUBLES // (2 * k * res)))
+    res = len(sample.grid.cos_colat)
+    first, k = res - len(table), sample.ell // res + 1
+    rows = max(1, min(len(table), _BLOCK_DOUBLES // (2 * k * res)))
     spectra = scratch("spectra", (rows, sample.ell + 1), complex)
     rings = scratch("rings", (rows, 2 * k * res))
-    for r0 in range(0, res, rows):
-        n = min(rows, res - r0)
+    for r0 in range(0, len(table), rows):
+        n = min(rows, len(table) - r0)
         np.multiply(table[r0 : r0 + n], sample.coef, out=spectra[:n])
         np.fft.irfft(spectra[:n], n=2 * k * res, out=rings[:n])
-        yield slice(r0, r0 + n), rings[:n, ::k]
+        yield slice(first + r0, first + r0 + n), rings[:n, ::k]
 
 
 def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:

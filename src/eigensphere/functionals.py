@@ -31,13 +31,24 @@ def indicator_coeffs(z: float, truncation: int = 8) -> tuple[float, ...]:
 def _integrate(sample: FieldSample, f) -> float:
     """Quadrature integral of f(field): node weights times f(values) on the
     dense route; on an S^2 product grid, ring weights times the per-ring sums
-    of f, taken a block of rings at a time."""
+    of f, taken a block of northern rings at a time.  Each northern ring also
+    stands for its mirror, which holds its values rolled half a turn (a roll
+    keeps the ring sum) times (-1)^ell: twice its sum at even ell, its sum plus
+    the sum of f(-v) at odd ell, so an odd f integrates to exactly 0 there.
+    The equator of an odd res is its own mirror, so it takes half that."""
+    w = sample.grid.weights
     if sample.coef is None:
-        return float(np.sum(sample.grid.weights * f(sample.values)))
-    sums = np.empty(len(sample.grid.weights))
+        return float(np.sum(w * f(sample.values)))
+    odd = sample.ell % 2
+    sums = np.empty(len(w))
     for rings, block in ring_blocks(sample):
         np.sum(f(block), axis=1, out=sums[rings])
-    return float(np.sum(sample.grid.weights * sums))
+        if odd:
+            sums[rings] += np.sum(f(np.negative(block, out=scratch("mirror", block.shape))), axis=1)
+    half = len(w) // 2
+    if len(w) % 2:
+        sums[half] *= 0.5
+    return (1.0 if odd else 2.0) * float(np.sum(w[half:] * sums[half:]))
 
 
 def excursion_volume(sample: FieldSample, z: float) -> float:

@@ -78,7 +78,9 @@ class ExperimentSpec:
 class EnsembleSummary:
     """Replicate statistics of one functional.  Distances to N(0,1) and the
     fourth cumulant are filled only when the ensemble has at least 100
-    replicates."""
+    replicates.  When every replicate is the same float (on S^2: the defect,
+    odd-order projections and the level-0 excursion at odd ell) the variance
+    is 0 and they are nan."""
 
     replicates: int
     values: np.ndarray
@@ -140,21 +142,19 @@ def run_ensemble(spec: ExperimentSpec, replicates: int, master_seed: int) -> Ens
             values[r] = _apply(spec, sample)
         except Exception as exc:  # tag the failing replicate, keep the cause
             raise ReplicateError(r, str(exc)) from exc
-    mean = float(np.mean(values))
-    variance = float(np.var(values, ddof=1))
+    # every replicate the same float: the variance is 0, not the roundoff of np.mean
+    constant = bool(np.all(values == values[0]))
+    mean = float(values[0]) if constant else float(np.mean(values))
+    variance = 0.0 if constant else float(np.var(values, ddof=1))
     sdev = math.sqrt(variance) if variance > 0 else 1.0
     standardized = (values - mean) / sdev
-    enough = replicates >= MIN_DISTANCE_SAMPLES
-    return EnsembleSummary(
-        replicates=replicates,
-        values=values,
-        mean=mean,
-        variance=variance,
-        standardized=standardized,
-        ks_to_normal=ks_distance(standardized) if enough else None,
-        w1_to_normal=w1_distance(standardized) if enough else None,
-        cum4=empirical_cum4(values) if enough else None,
-    )
+    if replicates < MIN_DISTANCE_SAMPLES:
+        diagnostics = (None, None, None)
+    elif constant:  # no law to compare
+        diagnostics = (math.nan, math.nan, math.nan)
+    else:
+        diagnostics = (ks_distance(standardized), w1_distance(standardized), empirical_cum4(values))
+    return EnsembleSummary(replicates, values, mean, variance, standardized, *diagnostics)
 
 
 def ks_distance(standardized) -> float:

@@ -57,6 +57,33 @@ def test_clt_odd_order_at_odd_degree_is_exact_zero(fmt):
     assert [odd[k] for k in ("ks", "w1", "cum4")] == [undefined] * 3
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("res", ["0", "65"])
+@pytest.mark.parametrize(
+    "args, value, stderrs",
+    [
+        (("defect", "--ell", "9,33"), 0.0, ("stderr", "mean_stderr")),
+        (("excursion", "--z", "0", "--ell", "33"), None, ("stderr", "variance")),
+    ],
+    ids=["defect", "excursion-z0"],
+)
+def test_constant_ensemble_rows(args, value, stderrs, res, fmt):
+    # at odd ell the defect is exactly 0 and the level-0 volume one fixed float on
+    # every replicate, on even res and on odd res (the equator its own mirror): the
+    # spread is 0 and the normality diagnostics are undefined
+    out = invoke(*args, "--reps", "100", "--grid-resolution", res, "--format", fmt)
+    assert out.returncode == 0
+    rows = json.loads(out.stdout) if fmt == "json" else list(csv.DictReader(out.stdout.splitlines()))
+    undefined = None if fmt == "json" else "nan"
+    for row in rows:
+        if value is None:
+            assert float(row["value"]) == pytest.approx(2.0 * math.pi, rel=1e-14)
+        else:
+            assert float(row["value"]) == value and float(row["mean"]) == value
+        assert [float(row[k]) for k in stderrs] == [0.0, 0.0]
+        assert row["ks"] == undefined
+
+
 def test_json_output(tmp_path):
     path = tmp_path / "m.json"
     out = invoke("moments", "--q", "3", "--d", "2", "--ell", "4,8", "--format", "json",

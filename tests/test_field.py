@@ -261,17 +261,19 @@ def test_mean_zero_and_covariance_law(grid64):
 
 @pytest.mark.parametrize("ell", [8, 9])
 def test_antipodal_symmetry(ell, grid64):
-    # tau = pi gives covariance (-1)^ell exactly, so node values at
-    # antipodes are equal (even ell) or opposite (odd ell) almost surely
+    # tau = pi gives covariance (-1)^ell exactly, so node values at antipodes
+    # are equal (even ell) or opposite (odd ell); the southern rings are built
+    # from the northern ones, so exactly, and only those have a Legendre table
     m = len(_s2_coordinates(grid64)[0])
     res = len(grid64.cos_colat)
     s = simulate_s2(ell, grid64, 31415)
     v = s.values.reshape(res, m)
     assert np.array_equal(grid64.cos_colat, -grid64.cos_colat[::-1])  # gauss_legendre mirrors its nodes
+    assert grid64._cache[("legendre", ell)].size == (ell + 1) * ((res + 1) // 2)
     flipped = v[::-1, :]
     rolled = np.roll(flipped, m // 2, axis=1)
     sign = 1.0 if ell % 2 == 0 else -1.0
-    np.testing.assert_allclose(v, sign * rolled, atol=1e-10)
+    assert np.array_equal(v, sign * rolled)
 
 
 def test_covariance_at_right_angle(grid64):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensphere import field
-from eigensphere.field import build_grid, replicate_seed, simulate, simulate_s2
+from eigensphere.field import _legendre_table, build_grid, replicate_seed, simulate, simulate_s2
 from eigensphere.functionals import (
     defect,
     excursion_volume,
@@ -177,23 +177,47 @@ def test_defect_zero_nodes_contribute_nothing():
 
 
 # ------------------------------------------------------ ring-block streaming
-@pytest.mark.parametrize("ell, res", [(8, 64), (40, 201), (250, 201), (128, 768)])
+def full_sphere_integral(sample, f):
+    """The quadrature integral over every node of an independent synthesis of
+    the whole sphere: the Legendre table on all res cosines and one irfft per
+    ring, each ring's weight times the sum of f over its 2*res nodes."""
+    grid, ell = sample.grid, sample.ell
+    res, k = len(grid.cos_colat), ell // len(grid.cos_colat) + 1
+    table = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
+    total = 0.0
+    for i in range(res):
+        ring = np.fft.irfft(table[:, i] * sample.coef, n=2 * k * res)[::k]
+        total += grid.weights[i] * float(np.sum(f(ring)))
+    return total
+
+
+@pytest.mark.parametrize(
+    "ell, res", [(8, 64), (40, 201), (41, 201), (250, 201), (251, 201), (128, 768)]
+)
 def test_streamed_functionals_match_flat_sum(ell, res):
-    # the ring-block reductions against one flat sum over all nodes: (8, 64) is
-    # one block; 201 rings (odd) go in blocks of 163 at ell = 40 and, on the
-    # 2-fold ring of ell >= res, of 81; the defect grid of ell = 128 in blocks of 42
+    # the folded ring-block reductions against the whole sphere synthesized ring
+    # by ring: (8, 64) is one block; the 101 northern rings of res 201 (odd, the
+    # equator its own mirror) make one block at ell = 40, 41 and, on the 2-fold
+    # ring of ell >= res, blocks of 81 and 20; the defect grid of ell = 128 makes
+    # blocks of 42, the last of 6.  At odd ell the defect and h_3 are exactly 0.
     grid = build_grid(2, res)
+    north = (res + 1) // 2
     rows = field._BLOCK_DOUBLES // (2 * (ell // res + 1) * res)
-    assert rows >= res or res % rows != 0
+    assert rows >= north or north % rows != 0
     s = simulate_s2(ell, grid, 2718)
+    assert grid._cache[("legendre", ell)].size == (ell + 1) * north
+    odd = ell % 2 == 1  # an odd f of an odd-degree field: exactly 0
     cases = [
-        (defect(s), np.sign),
-        (excursion_volume(s, 0.5), lambda v: v > 0.5),
-        (hermite_projection(s, 2), lambda v: hermite_eval(2, v)),
-        (hermite_projection(s, 3), lambda v: hermite_eval(3, v)),
+        (defect(s), np.sign, odd),
+        (excursion_volume(s, 0.5), lambda v: v > 0.5, False),
+        (hermite_projection(s, 2), lambda v: hermite_eval(2, v), False),
+        (hermite_projection(s, 3), lambda v: hermite_eval(3, v), odd),
     ]
-    for value, f in cases:
-        assert value == pytest.approx(flat_integral(s, f), rel=1e-13)
+    for value, f, zero in cases:
+        if zero:
+            assert value == 0.0
+        else:
+            assert value == pytest.approx(full_sphere_integral(s, f), rel=1e-13)
 
 
 def test_defect_replicate_builds_no_field(monkeypatch):

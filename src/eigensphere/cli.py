@@ -11,12 +11,13 @@ diagnostics):
   clt:        d,ell,q,resolution,replicates,seed,value,stderr,ks,w1,cum4
   excursion:  d,ell,z,resolution,replicates,seed,value,stderr,variance,
               expansion_variance,target_mean,ks
-  defect:     d,ell,resolution,replicates,seed,value,stderr,mean,mean_stderr,ks
+  defect:     d,ell,resolution,replicates,seed,value,stderr,mean,mean_stderr,exact,ks
 
 ``value`` is the command's headline quantity: the asymptotic constant, the
 moment integral, the node mean of one simulated field, the ensemble
 variance (clt), the ensemble mean (excursion), or ell^2 times the defect
-variance.  Exit codes: 0 success, 2 configuration error, 3 numeric error,
+variance, whose exact value (``moments.defect_variance``) times ell^2 is
+``exact``.  Exit codes: 0 success, 2 configuration error, 3 numeric error,
 4 I/O error.
 """
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _excursion_stats(cfg: RunConfig, ell: int, s) -> list:
     from .specfun import gauss_pdf_cdf, sphere_measure
 
     target = sphere_measure(cfg.d) * (1.0 - gauss_pdf_cdf(cfg.z)[1])
-    return [s.mean, math.sqrt(s.variance / s.replicates), s.variance,
+    return [s.mean, s.mean_stderr, s.variance,
             _expansion_variance(cfg.z, cfg.truncation, ell, cfg.d), target, s.ks_to_normal]
 
 
@@ -161,10 +162,11 @@ def _clt_stats(cfg: RunConfig, ell: int, s) -> list:
 
 
 def _defect_stats(cfg: RunConfig, ell: int, s) -> list:
+    from .moments import defect_variance
     from .stats import variance_stderr
 
     return [ell * ell * s.variance, ell * ell * variance_stderr(s.values),
-            s.mean, math.sqrt(s.variance / s.replicates), s.ks_to_normal]
+            s.mean, s.mean_stderr, ell * ell * defect_variance(ell, cfg.d), s.ks_to_normal]
 
 
 # command -> (functional kind, its RunConfig parameter, columns, row values)
@@ -173,7 +175,7 @@ _ENSEMBLES = {
     "excursion": ("excursion", "z",
                   ["value", "stderr", "variance", "expansion_variance", "target_mean", "ks"],
                   _excursion_stats),
-    "defect": ("defect", None, ["value", "stderr", "mean", "mean_stderr", "ks"], _defect_stats),
+    "defect": ("defect", None, ["value", "stderr", "mean", "mean_stderr", "exact", "ks"], _defect_stats),
 }
 
 

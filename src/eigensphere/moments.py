@@ -12,12 +12,13 @@ by one of two routes, chosen by (q, ell):
   Gauss-Legendre quadrature with panels commensurate with the oscillation
   wavelength pi/ell, in O(ell^2) operations.
 
-The quadrature also serves the tests as the independent check of the
-exact route.  ``asymptotic_constant`` evaluates the limiting constants of
-ell^d * I from an oscillatory Bessel integral, chunked between consecutive
-Bessel zeros with Euler acceleration for the conditionally convergent
-cases.  The moment and constant routes share no code beyond the Bessel
-evaluator, which is what makes their agreement a real check.
+The quadrature also gives the exact defect variance ``defect_variance`` and
+serves the tests as the independent check of the exact route.
+``asymptotic_constant`` evaluates the limiting constants of ell^d * I from
+an oscillatory Bessel integral, chunked between consecutive Bessel zeros
+with Euler acceleration for the conditionally convergent cases.  The moment
+and constant routes share no code beyond the Bessel evaluator, which is what
+makes their agreement a real check.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ __all__ = [
     "moment_integral",
     "asymptotic_constant",
     "projection_variance",
+    "defect_variance",
     "scaling_law",
     "closed_form_law",
     "moment_result",
@@ -63,8 +65,9 @@ def _gauss_legendre_panels(edges: np.ndarray, nodes: int):
     return 0.5 * (hi - lo) * xg + 0.5 * (hi + lo), 0.5 * (hi - lo) * wg + np.zeros_like(lo)
 
 
-def _moment_quadrature(ell: int, q: int, d: int) -> float:
-    """The moment integral by panel Gauss-Legendre quadrature.
+def _kernel_quadrature(ell: int, d: int, f) -> float:
+    """int_0^{pi/2} f(G_ell(cos theta)) sin^(d-1) theta dtheta by panel
+    Gauss-Legendre quadrature, for an elementwise ``f`` of the kernel.
 
     Panel width is pi/(4*(ell+1)), a quarter of the oscillation
     wavelength, so fixed-order quadrature per panel is spectrally
@@ -74,7 +77,7 @@ def _moment_quadrature(ell: int, q: int, d: int) -> float:
     edges = np.linspace(0.0, 0.5 * math.pi, 2 * (ell + 1) + 1)
     theta, w = (a.ravel() for a in _gauss_legendre_panels(edges, _PANEL_NODES))
     g = gegenbauer_eval_many(ell, d, np.cos(theta))
-    return float(np.sum(w * g**q * np.sin(theta) ** (d - 1)))
+    return float(np.sum(w * f(g) * np.sin(theta) ** (d - 1)))
 
 
 def _eigenspace_dim(n, d: int):
@@ -113,12 +116,12 @@ def moment_integral(ell: int, q: int, d: int) -> float:
     dim(n) give exactly: q = 2 is the norm of G_ell (O(1)), q = 3 is
     b_(ell/2) times it and q = 4 is sum_k b_k^2 times the norm of
     G_(2ell-2k) (both O(ell)).  Every other case is integrated by
-    ``_moment_quadrature`` at a cost that grows like ell^2.
+    ``_kernel_quadrature`` at a cost that grows like ell^2.
     """
     if ell < 0 or q < 1 or d < 2:
         raise ValueError(f"need ell >= 0, q >= 1, d >= 2, got {(ell, q, d)}")
     if q not in (2, 3, 4) or ell * q % 2:
-        return _moment_quadrature(ell, q, d)
+        return _kernel_quadrature(ell, d, lambda g: g**q)
     half_mass = 0.5 * sphere_measure(d) / sphere_measure(d - 1)
     if q == 2:
         return half_mass / _eigenspace_dim(ell, d)
@@ -276,6 +279,18 @@ def projection_variance(ell: int, q: int, d: int) -> float:
         * sphere_measure(d - 1)
         * moment_integral(ell, q, d)
     )
+
+
+def defect_variance(ell: int, d: int) -> float:
+    """Variance of the defect of the degree-ell field on S^d: 0 at odd ell
+    (an odd field), else the orthant identity E[sign X sign Y] = (2/pi)
+    arcsin(rho) reduced as in ``projection_variance`` to [0, pi/2]."""
+    if ell < 0 or d < 2:
+        raise ValueError(f"need ell >= 0 and d >= 2, got {(ell, d)}")
+    if ell % 2:
+        return 0.0
+    pair = _kernel_quadrature(ell, d, lambda g: np.arcsin(np.clip(g, -1.0, 1.0)))
+    return 4.0 / math.pi * sphere_measure(d) * sphere_measure(d - 1) * pair
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,7 @@ class EnsembleSummary:
     values: np.ndarray
     mean: float
     variance: float
+    mean_stderr: float  # sqrt(variance / replicates)
     standardized: np.ndarray
     ks_to_normal: float | None
     w1_to_normal: float | None
@@ -154,7 +155,8 @@ def run_ensemble(spec: ExperimentSpec, replicates: int, master_seed: int) -> Ens
         diagnostics = (math.nan, math.nan, math.nan)
     else:
         diagnostics = (ks_distance(standardized), w1_distance(standardized), empirical_cum4(values))
-    return EnsembleSummary(replicates, values, mean, variance, standardized, *diagnostics)
+    return EnsembleSummary(replicates, values, mean, variance, math.sqrt(variance / replicates),
+                           standardized, *diagnostics)
 
 
 def ks_distance(standardized) -> float:

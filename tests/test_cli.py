@@ -9,6 +9,7 @@ import pytest
 
 from eigensphere.cli import ConfigError, RunConfig, main, run
 from eigensphere.field import load_field
+from eigensphere.moments import defect_variance
 
 
 def invoke(*args):
@@ -82,6 +83,8 @@ def test_constant_ensemble_rows(args, value, stderrs, res, fmt):
             assert float(row["value"]) == value and float(row["mean"]) == value
         assert [float(row[k]) for k in stderrs] == [0.0, 0.0]
         assert row["ks"] == undefined
+        if args[0] == "defect":
+            assert float(row["exact"]) == 0.0
 
 
 def test_json_output(tmp_path):
@@ -232,6 +235,9 @@ def test_defect_command_schema(tmp_path):
     assert float(row["stderr"]) > 0
     scaled = float(row["value"])
     assert scaled > 32.0 / math.sqrt(27.0)
+    assert list(row) == ["d", "ell", "resolution", "replicates", "seed", "value", "stderr",
+                         "mean", "mean_stderr", "exact", "ks"]
+    assert float(row["exact"]) == 16**2 * defect_variance(16, 2)
 
 
 def test_excursion_command(tmp_path):

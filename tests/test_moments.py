@@ -12,6 +12,7 @@ from eigensphere.moments import (
     MomentResult,
     NonConvergedError,
     asymptotic_constant,
+    defect_variance,
     moment_integral,
     moment_result,
     projection_variance,
@@ -77,11 +78,17 @@ def test_against_polynomial_oracle(ell, q):
     assert moment_integral(ell, q, 2) == pytest.approx(legendre_moment_oracle(ell, q), rel=1e-9)
 
 
-@pytest.mark.parametrize("ell,q,d", [(400, 6, 5), (128, 3, 2), (37, 5, 4), (256, 2, 3)])
+def _arcsin_kernel(g):
+    return np.arcsin(np.clip(g, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("ell,q,d", [(400, 6, 5), (128, 3, 2), (37, 5, 4), (256, 2, 3), (128, "arcsin", 2)])
 def test_panel_refinement(ell, q, d, monkeypatch):
-    coarse = moments._moment_quadrature(ell, q, d)
+    # q is a power of the kernel, or the arcsine integrand of the defect variance
+    f = _arcsin_kernel if q == "arcsin" else (lambda g: g**q)
+    coarse = moments._kernel_quadrature(ell, d, f)
     monkeypatch.setattr(moments, "_PANEL_NODES", 32)
-    fine = moments._moment_quadrature(ell, q, d)
+    fine = moments._kernel_quadrature(ell, d, f)
     assert coarse == pytest.approx(fine, rel=1e-10)
 
 
@@ -94,13 +101,50 @@ def test_linearized_route_matches_quadrature(d):
             if ell * q % 2:
                 continue  # odd integrand: moment_integral is the quadrature itself
             exact = moment_integral(ell, q, d)
-            assert exact == pytest.approx(moments._moment_quadrature(ell, q, d), rel=1e-10), (ell, q)
+            assert exact == pytest.approx(moments._kernel_quadrature(ell, d, lambda g: g**q), rel=1e-10), (ell, q)
 
 
 @pytest.mark.parametrize("ell", [2, 64, 1024, 2048])
 def test_s2_moments_against_3j_oracle(ell, oracles):
     assert moment_integral(ell, 3, 2) == pytest.approx(oracles.moment_q3_s2(ell), rel=1e-10)
     assert moment_integral(ell, 4, 2) == pytest.approx(oracles.moment_q4_s2(ell), rel=1e-10)
+
+
+@pytest.mark.parametrize("ell", [2, 8, 32, 128])
+def test_defect_variance_against_oracle(ell, oracles):
+    assert defect_variance(ell, 2) == pytest.approx(oracles.defect_variance(ell), rel=1e-10)
+    assert defect_variance(ell + 1, 2) == 0.0  # the defect of an odd field is 0
+    for d in (2, 3, 4):
+        assert defect_variance(0, d) == pytest.approx(sphere_measure(d) ** 2, rel=1e-14)
+
+
+def test_defect_variance_clips_kernel_overshoot(monkeypatch):
+    # a kernel value rounded one ulp above 1 near theta = 0 must not make the arcsine nan
+    exact = defect_variance(8, 2)
+    eval_many = moments.gegenbauer_eval_many
+
+    def overshoot(*args):
+        g = eval_many(*args)
+        g[np.argmax(g)] = np.nextafter(1.0, 2.0)
+        return g
+
+    monkeypatch.setattr(moments, "gegenbauer_eval_many", overshoot)
+    assert defect_variance(8, 2) == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("ell", [2, 4, 16, 64])
+def test_defect_variance_s3_closed_form(ell):
+    # G_ell on S^3 is sin((ell+1) t) / ((ell+1) sin t); integrate the arcsine
+    # of it in the pair reduction (4/pi) mu_3 mu_2 int_0^{pi/2} on panels of
+    # its own: 24 nodes each, width pi/(6 (ell+1))
+    edges = np.linspace(0.0, 0.5 * math.pi, 3 * (ell + 1) + 1)
+    x, w = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel()
+    g = np.sin((ell + 1) * t) / ((ell + 1) * np.sin(t))
+    pair = float(np.sum((half * w).ravel() * _arcsin_kernel(g) * np.sin(t) ** 2))
+    exact = 4.0 / math.pi * sphere_measure(3) * sphere_measure(2) * pair
+    assert defect_variance(ell, 3) == pytest.approx(exact, rel=1e-10)
 
 
 @pytest.mark.parametrize("ell", [0, 2, 64, 1024, 2048, 4096])

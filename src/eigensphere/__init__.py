@@ -12,11 +12,9 @@ from .specfun import (
     sphere_measure,
 )
 from .moments import (
-    MomentResult,
     ScalingLaw,
     asymptotic_constant,
     moment_integral,
-    moment_result,
     projection_variance,
     scaling_law,
 )
@@ -26,8 +24,7 @@ from .field import (
     build_grid,
     dump_field,
     load_field,
-    simulate_s2,
-    simulate_sd,
+    simulate,
 )
 from .functionals import (
     defect,
@@ -40,7 +37,6 @@ from .stats import (
     ExperimentSpec,
     empirical_cum4,
     ks_distance,
-    rate_fit,
     run_ensemble,
     w1_distance,
 )

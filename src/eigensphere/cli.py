@@ -97,13 +97,19 @@ def _rows_constants(cfg: RunConfig) -> tuple[list[str], list[list]]:
 
 
 def _rows_moments(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    from .moments import moment_result, scaling_law
+    from .moments import moment_integral, scaling_law
 
-    law = scaling_law(cfg.q, cfg.d)
+    law = scaling_law(cfg.q, cfg.d)  # once: the Bessel integral of the target
+    target = law.constant if law.constant is not None else math.nan
     rows = []
     for ell in cfg.ell_list:
-        r = moment_result(ell, cfg.q, cfg.d, law)
-        rows.append([cfg.d, ell, cfg.q, r.integral, r.scaled, r.target, r.rel_err])
+        integral = moment_integral(ell, cfg.q, cfg.d)
+        scale = float(ell) ** (-float(law.exponent)) if ell > 0 else 1.0
+        if law.log_power == 1 and ell > 1:
+            scale /= math.log(ell)
+        scaled = integral * scale
+        rel_err = abs(scaled - target) / abs(target) if target and math.isfinite(target) else math.nan
+        rows.append([cfg.d, ell, cfg.q, integral, scaled, target, rel_err])
     return ["d", "ell", "q", "value", "scaled", "target", "rel_err"], rows
 
 
@@ -156,16 +162,13 @@ def _excursion_stats(cfg: RunConfig, ell: int, s) -> list:
 
 
 def _clt_stats(cfg: RunConfig, ell: int, s) -> list:
-    from .stats import variance_stderr
-
-    return [s.variance, variance_stderr(s.values), s.ks_to_normal, s.w1_to_normal, s.cum4]
+    return [s.variance, s.variance_stderr, s.ks_to_normal, s.w1_to_normal, s.cum4]
 
 
 def _defect_stats(cfg: RunConfig, ell: int, s) -> list:
     from .moments import defect_variance
-    from .stats import variance_stderr
 
-    return [ell * ell * s.variance, ell * ell * variance_stderr(s.values),
+    return [ell * ell * s.variance, ell * ell * s.variance_stderr,
             s.mean, s.mean_stderr, ell * ell * defect_variance(ell, cfg.d), s.ks_to_normal]
 
 
@@ -243,17 +246,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="run the acceptance battery and exit")
     sub = p.add_subparsers(dest="command")
     for name, (_, help_text) in _COMMANDS.items():
-        q = sub.add_parser(name, help=help_text)
-        q.add_argument("--d", type=int, default=2)
-        q.add_argument("--q", type=int, default=2)
-        q.add_argument("--Q", dest="truncation", type=int, default=8)
-        q.add_argument("--ell", type=str, default="8", help="comma-separated increasing degrees")
-        q.add_argument("--z", type=float, default=1.0)
-        q.add_argument("--reps", dest="replicates", type=int, default=2000)
-        q.add_argument("--grid-resolution", type=int, default=0, help="0 = per-degree default")
-        q.add_argument("--seed", type=int, default=1)
-        q.add_argument("--out", dest="output", type=str, default=None)
-        q.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        # an option not given is left out, so that RunConfig supplies its default
+        q = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        q.add_argument("--d", type=int)
+        q.add_argument("--q", type=int)
+        q.add_argument("--Q", dest="truncation", type=int)
+        q.add_argument("--ell", type=str, help="comma-separated increasing degrees")
+        q.add_argument("--z", type=float)
+        q.add_argument("--reps", dest="replicates", type=int)
+        q.add_argument("--grid-resolution", type=int, help="0 = per-degree default")
+        q.add_argument("--seed", type=int)
+        q.add_argument("--out", dest="output", type=str)
+        q.add_argument("--format", dest="fmt", choices=("csv", "json"))
     return p
 
 
@@ -270,11 +274,12 @@ def main(argv=None) -> int:
     try:
         # every other parser destination is a RunConfig field of the same name
         opts = {k: v for k, v in vars(args).items() if k not in ("verify", "ell")}
-        try:
-            ell_list = [int(tok) for tok in args.ell.split(",") if tok]
-        except ValueError:
-            raise ConfigError(f"--ell must be comma-separated integers, got {args.ell!r}") from None
-        run(RunConfig(ell_list=ell_list, **opts))
+        if "ell" in args:
+            try:
+                opts["ell_list"] = [int(tok) for tok in args.ell.split(",") if tok]
+            except ValueError:
+                raise ConfigError(f"--ell must be comma-separated integers, got {args.ell!r}") from None
+        run(RunConfig(**opts))
     except (ConfigError, ValueError) as exc:
         # ValueError outside RunConfig.validate means a numeric-domain error
         code = 2 if isinstance(exc, ConfigError) else 3

@@ -1,12 +1,12 @@
 """Sampling of single-multipole Gaussian fields on discretized spheres.
 
-d = 2 synthesizes exactly, one inverse real FFT per ring of latitude, on a product
-grid that stores only its ring weights and colatitude cosines; a draw keeps its
-coefficients and is synthesized a cache-sized block of rings at a time, northern
-rings only: the grid is mirrored and f(-x) = (-1)^ell f(x), so a southern ring is
-its mirror rolled half a turn, times (-1)^ell.
-d >= 3 Cholesky-factors the dense covariance on a quasi-uniform node set (N <= 6000),
-built in place in row blocks: factoring holds 3 N^2 doubles at its peak.
+``simulate`` is the one sampler; the grid picks the route.  An S^2 product grid
+(``cos_colat`` set) synthesizes exactly, one inverse real FFT per ring, and stores
+only its ring weights and colatitude cosines; a draw keeps its coefficients and is
+synthesized a cache-sized block of rings at a time, northern rings only: the grid
+is mirrored and f(-x) = (-1)^ell f(x), so a southern ring is its mirror rolled half
+a turn, times (-1)^ell.  A node set (d >= 3) Cholesky-factors the dense covariance
+(N <= 6000), built in place in row blocks: factoring holds 3 N^2 doubles at its peak.
 """
 from __future__ import annotations
 
@@ -26,8 +26,6 @@ __all__ = [
     "FactorizationError",
     "build_grid",
     "simulate",
-    "simulate_s2",
-    "simulate_sd",
     "replicate_seed",
     "ring_blocks",
     "dump_field",
@@ -53,9 +51,9 @@ class FactorizationError(RuntimeError):
 @dataclass(eq=False)
 class SphereGrid:
     """Quadrature grid on S^d: positive weights whose node total is the surface
-    measure, and what one sampler reads: ``cos_colat`` and one weight per ring on
-    an S^2 product grid (``simulate_s2``), ``nodes`` and one weight per node on a
-    grid for the dense route (``simulate_sd``)."""
+    measure, and what ``simulate`` routes by: ``cos_colat`` and one weight per
+    ring on an S^2 product grid (ring synthesis), ``nodes`` and one weight per
+    node on a node set (the dense factor)."""
 
     d: int
     weights: np.ndarray  # (res,) per ring on a product grid, (N,) per node otherwise
@@ -113,7 +111,7 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
     d = 2: Gauss-Legendre nodes in cos(theta) (``resolution`` of them, from
     ``specfun.gauss_legendre``, kept as ``cos_colat``) crossed with the
     2*resolution longitudes 2*pi*j/(2*resolution), which no grid stores
-    (``simulate_s2`` synthesizes each ring by an FFT of that length); the ring
+    (``simulate`` synthesizes each ring by an FFT of that length); the ring
     weights are the GL weights times 2*pi/(2*resolution).  Exact for spherical
     polynomials of degree <= 2*resolution - 1.  The rule costs O(res^2) flops
     and O(res) memory, and the grid keeps O(res) numbers.  Over S2_NODE_BUDGET
@@ -248,7 +246,7 @@ def _legendre_table(ell: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
+def _draw_rings(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     """Exact harmonic synthesis of the degree-ell field on a product grid.
 
     Draws 2*ell + 1 independent N(0,1) coefficients on the real
@@ -265,15 +263,16 @@ def simulate_s2(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     synthesized: the cosines are mirrored, P_ell^m(-x) = (-1)^(ell+m) P_ell^m(x),
     and half a turn multiplies order m by (-1)^m, so the ring at -x is the ring
     at x rolled by res samples, times (-1)^ell.  The cached Legendre table holds
-    (ell + 1) * ceil(res / 2) doubles.
+    (ell + 1) * ceil(res / 2) doubles; off its sum rule by 1e-9 on a ring (from
+    ell ~ 2000, where subnormal sectoral starts lose bits), it raises ValueError.
     """
-    if grid.d != 2 or grid.cos_colat is None:
-        raise ValueError(f"simulate_s2 needs a d=2 product grid from build_grid, got d={grid.d}")
     key = ("legendre", ell)
     if key not in grid._cache:  # ring-major: one row of orders per northern colatitude
         north = grid.cos_colat[len(grid.cos_colat) // 2 :]
-        table = _legendre_table(ell, north) / math.sqrt(2.0 * ell + 1.0)
-        grid._cache[key] = np.ascontiguousarray(table.T)
+        table, norm = _legendre_table(ell, north), 2.0 * ell + 1.0
+        if not np.all(np.abs(np.sum(table**2, axis=0) - norm) <= 1e-9 * norm):  # nan fails too
+            raise ValueError(f"Legendre table breaks its sum rule at ell={ell}, res={len(grid.cos_colat)}")
+        grid._cache[key] = np.ascontiguousarray((table / math.sqrt(norm)).T)
     n = 2 * (ell // len(grid.cos_colat) + 1) * len(grid.cos_colat)
     g = _rng_for(seed).standard_normal(2 * ell + 1)
     coef = np.empty(ell + 1, dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
@@ -317,8 +316,6 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
     the kernel overwrites its lower triangle and diagonal in place, _KERNEL_ROWS rows at
     a time, and np.linalg.cholesky reads only that triangle.  Peak: the covariance, numpy's
     work copy and its result (3 n^2 doubles), plus n^2 for each degree already cached."""
-    if grid.nodes is None:
-        raise ValueError("the dense route needs node coordinates; sample an S^2 product grid with simulate_s2")
     key = ("chol", ell)
     if key not in grid._cache:
         n = grid.size
@@ -340,8 +337,8 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
     return grid._cache[key]
 
 
-def simulate_sd(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
-    """General-d sampling through the cached covariance factor: values =
+def _draw_dense(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
+    """Node-set sampling through the cached covariance factor: values =
     L z with L L^T = [G(<x_i, x_j>)] + jitter I and z i.i.d. N(0,1)."""
     factor = _dense_factor(grid, ell)
     z = _rng_for(seed).standard_normal(grid.size)
@@ -349,12 +346,13 @@ def simulate_sd(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
 
 
 def simulate(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
-    """Dispatch to the harmonic route on S^2, dense factorization above."""
+    """One draw of the degree-ell field on ``grid``: ring synthesis on an S^2
+    product grid (``cos_colat`` set), the dense factor on a node set."""
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
-    if grid.d == 2:
-        return simulate_s2(ell, grid, seed)
-    return simulate_sd(ell, grid, seed)
+    if grid.cos_colat is not None:
+        return _draw_rings(ell, grid, seed)
+    return _draw_dense(ell, grid, seed)
 
 
 # Binary dump layout: 8-byte little-endian header (d: u16, ell: u16, N: u32)

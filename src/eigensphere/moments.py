@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import (
+    _BESSEL_MAX_ORDER,
     bessel_j,
     bessel_j_derivative,
     gauss_legendre,
@@ -36,7 +37,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "MomentResult",
     "ScalingLaw",
     "NonConvergedError",
     "moment_integral",
@@ -45,12 +45,12 @@ __all__ = [
     "defect_variance",
     "scaling_law",
     "closed_form_law",
-    "moment_result",
 ]
 
 
 class NonConvergedError(RuntimeError):
-    """Tail acceleration of the Bessel integral missed its tolerance."""
+    """The Bessel integral is out of reach: its order is past bessel_j's
+    range, or the tail acceleration missed its tolerance."""
 
 
 _PANEL_NODES = 16
@@ -193,6 +193,8 @@ def asymptotic_constant(q: int, d: int) -> float:
     if law is not None:
         return law.constant
     nu = 0.5 * d - 1.0
+    if nu > _BESSEL_MAX_ORDER:  # d >= 19
+        raise NonConvergedError(f"(q={q}, d={d}) needs J of order {nu:g}, past bessel_j's {_BESSEL_MAX_ORDER:g}")
     pref = (2.0**nu * math.gamma(nu + 1.0)) ** q
     a = -q * nu + d - 1.0
     zeros = _bessel_zeros(nu, _MAX_ZEROS)
@@ -291,34 +293,3 @@ def defect_variance(ell: int, d: int) -> float:
         return 0.0
     pair = _kernel_quadrature(ell, d, lambda g: np.arcsin(np.clip(g, -1.0, 1.0)))
     return 4.0 / math.pi * sphere_measure(d) * sphere_measure(d - 1) * pair
-
-
-@dataclass(frozen=True)
-class MomentResult:
-    """One (ell, q, d) moment with its rescaled value and known target."""
-
-    ell: int
-    q: int
-    d: int
-    integral: float
-    scaled: float
-    target: float
-    rel_err: float
-
-
-def moment_result(ell: int, q: int, d: int, law: ScalingLaw | None = None) -> MomentResult:
-    """Moment integral packaged with the (d, q)-specific rescaling.
-
-    ``law`` is ``scaling_law(q, d)``, evaluated here when not given; a
-    degree sweep passes it in so the Bessel integral runs once.
-    """
-    integral = moment_integral(ell, q, d)
-    if law is None:
-        law = scaling_law(q, d)
-    scale = float(ell) ** (-float(law.exponent)) if ell > 0 else 1.0
-    if law.log_power == 1 and ell > 1:
-        scale /= math.log(ell)
-    scaled = integral * scale
-    target = law.constant if law.constant is not None else math.nan
-    rel = abs(scaled - target) / abs(target) if target and math.isfinite(target) else math.nan
-    return MomentResult(ell, q, d, integral, scaled, target, rel)

@@ -30,12 +30,15 @@ _T_TOL = 1e-12
 _GL_MAX_STEPS = 8
 _GL_TOL = 4.0 * np.finfo(float).eps
 
-# Integer orders: power series below, large-argument evaluation above.
-# The measured absolute error (tests/test_specfun.py) is <= 1e-12 away from
-# the seam and <= 2e-12 in the band 11 < x < 15, where the asymptotic
-# series bottoms out near exp(-2x).  Half-integer orders use closed trig
-# forms, except x <= 1 where the series is exact instead.
+# Integer orders: power series below, large-argument evaluation above.  The
+# measured absolute error (tests/test_specfun.py) is <= 3e-13 off the seam; in
+# 11 < x < 15, where the asymptotic series bottoms out near exp(-2x), it is
+# <= 2e-12 to order 3 and 1.1e-11 at 8, but 0.67 at 9: orders stop at 8.
+# Half-integer orders use closed trig forms, except x <= 1 where the series is
+# exact instead; for 1 < x < nu their upward recurrence is unstable: <= 1e-14
+# to order 4.5, 7e-13 at 6.5, 9e-12 at 7.5.
 _BESSEL_SWITCH = 12.0
+_BESSEL_MAX_ORDER = 8.0
 
 
 def sphere_measure(d: int) -> float:
@@ -236,7 +239,7 @@ def _bessel_asymptotic_int(n: int, x: np.ndarray) -> np.ndarray:
 
 def _bessel_halfint_trig(nu: float, x: np.ndarray) -> np.ndarray:
     """Closed trigonometric forms for half-integer order (upward recurrence
-    from J_{-1/2}, J_{1/2}); stable here because x > nu in this branch."""
+    from J_{-1/2}, J_{1/2}); unstable where x < nu, see the module header."""
     pref = np.sqrt(2.0 / (math.pi * x))
     j_minus = pref * np.cos(x)  # J_{-1/2}
     j = pref * np.sin(x)  # J_{+1/2}
@@ -248,10 +251,12 @@ def _bessel_halfint_trig(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_j(nu: float, x):
-    """Bessel J_nu for nu a nonnegative integer or half-integer, x >= 0."""
+    """Bessel J_nu for nu a nonnegative integer or half-integer up to 8, x >= 0."""
     two_nu = 2.0 * nu
     if nu < 0 or two_nu != int(two_nu):
         raise ValueError(f"order must be a nonnegative half-integer, got {nu}")
+    if nu > _BESSEL_MAX_ORDER:
+        raise ValueError(f"order {nu:g} is above {_BESSEL_MAX_ORDER:g}, where bessel_j is inaccurate")
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -273,10 +278,13 @@ def bessel_j(nu: float, x):
 
 
 def bessel_j_derivative(nu: float, x):
-    """J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x) (used by zero refinement)."""
+    """J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x) (used by zero refinement), or
+    J_{nu-1}(x) - (nu/x) J_nu(x) where nu + 1 is past bessel_j's orders."""
     arr = np.asarray(x, dtype=float)
     if nu == 0.0:
         return -bessel_j(1.0, arr)
+    if nu + 1.0 > _BESSEL_MAX_ORDER:
+        return bessel_j(nu - 1.0, arr) - (nu / arr) * bessel_j(nu, arr)
     return (nu / arr) * bessel_j(nu, arr) - bessel_j(nu + 1.0, arr)
 
 

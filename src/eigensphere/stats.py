@@ -21,7 +21,6 @@ __all__ = [
     "ExperimentSpec",
     "EnsembleSummary",
     "TooFewSamplesError",
-    "NonpositiveValuesError",
     "ReplicateError",
     "default_resolution",
     "shared_grid",
@@ -29,8 +28,6 @@ __all__ = [
     "ks_distance",
     "w1_distance",
     "empirical_cum4",
-    "variance_stderr",
-    "rate_fit",
 ]
 
 MIN_DISTANCE_SAMPLES = 100
@@ -38,10 +35,6 @@ MIN_DISTANCE_SAMPLES = 100
 
 class TooFewSamplesError(ValueError):
     """Distance/cumulant diagnostics need at least 100 samples."""
-
-
-class NonpositiveValuesError(ValueError):
-    """Log-log rate fits need strictly positive statistics."""
 
 
 class ReplicateError(RuntimeError):
@@ -87,6 +80,7 @@ class EnsembleSummary:
     mean: float
     variance: float
     mean_stderr: float  # sqrt(variance / replicates)
+    variance_stderr: float  # sqrt((m4 - m2^2) / replicates), plug-in central moments
     standardized: np.ndarray
     ks_to_normal: float | None
     w1_to_normal: float | None
@@ -155,8 +149,9 @@ def run_ensemble(spec: ExperimentSpec, replicates: int, master_seed: int) -> Ens
         diagnostics = (math.nan, math.nan, math.nan)
     else:
         diagnostics = (ks_distance(standardized), w1_distance(standardized), empirical_cum4(values))
+    m2, m4 = _central_moments(values)
     return EnsembleSummary(replicates, values, mean, variance, math.sqrt(variance / replicates),
-                           standardized, *diagnostics)
+                           math.sqrt(max(m4 - m2 * m2, 0.0) / replicates), standardized, *diagnostics)
 
 
 def ks_distance(standardized) -> float:
@@ -197,28 +192,3 @@ def empirical_cum4(values) -> float:
         raise TooFewSamplesError(f"need >= {MIN_DISTANCE_SAMPLES} samples, got {len(x)}")
     m2, m4 = _central_moments(x)
     return m4 - 3.0 * m2 * m2
-
-
-def variance_stderr(values) -> float:
-    """Asymptotic standard error of the sample variance, sqrt((m4 - m2^2)/n)."""
-    x = np.asarray(values, dtype=float)
-    m2, m4 = _central_moments(x)
-    return math.sqrt(max(m4 - m2 * m2, 0.0) / len(x))
-
-
-def rate_fit(pairs) -> dict:
-    """Least-squares slope of log(statistic) against log(ell), with fit
-    quality r^2; the decay-law checks compare this slope to the predicted
-    exponent."""
-    pts = [(float(ell), float(s)) for ell, s in pairs]
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 (ell, statistic) pairs, got {len(pts)}")
-    if any(s <= 0 for _, s in pts):
-        raise NonpositiveValuesError("statistics must be strictly positive for a log-log fit")
-    lx = np.log([p[0] for p in pts])
-    ly = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
-    return {"slope": float(slope), "r2": r2}

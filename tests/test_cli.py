@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from eigensphere import cli
 from eigensphere.cli import ConfigError, RunConfig, main, run
 from eigensphere.field import load_field
 from eigensphere.moments import defect_variance
@@ -31,6 +32,37 @@ def test_moments_command():
     assert out.returncode == 0
     row = list(csv.DictReader(out.stdout.splitlines()))[0]
     assert float(row["value"]) == pytest.approx(1.0 / 21.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("ell, q, scale", [(128, 3, 128**2), (64, 4, 64**2 / math.log(64))], ids=["q3", "log-q4"])
+def test_moments_rows_scale_and_rel_err(ell, q, scale):
+    # scaled = value * ell^-exponent (over log ell in the log case (4, 2)), and
+    # rel_err is its distance to the limiting constant in target
+    text = run(RunConfig("moments", q=q, ell_list=[ell]))
+    row = {k: float(v) for k, v in list(csv.DictReader(text.splitlines()))[0].items()}
+    assert row["scaled"] == pytest.approx(scale * row["value"], rel=1e-14)
+    assert row["rel_err"] == pytest.approx(abs(row["scaled"] - row["target"]) / row["target"], rel=1e-14)
+
+
+def test_constants_past_bessel_orders(capsys):
+    # d >= 19 needs J of order 8.5 and up, where bessel_j is inaccurate: the
+    # constant is refused and the moments target left undefined
+    assert main(["constants", "--q", "3", "--d", "20"]) == 3
+    assert "past bessel_j" in capsys.readouterr().err
+    assert main(["moments", "--q", "3", "--d", "20", "--ell", "8"]) == 0
+    row = list(csv.DictReader(capsys.readouterr().out.splitlines()))[0]
+    assert (row["target"], row["rel_err"]) == ("nan", "nan") and float(row["value"]) > 0
+
+
+def test_bare_subcommand_takes_run_config_defaults(monkeypatch):
+    # the parser states no defaults: an option not given is RunConfig's
+    seen = []
+    monkeypatch.setattr(cli, "run", seen.append)
+    for name in cli._COMMANDS:
+        assert main([name]) == 0
+        assert seen.pop() == RunConfig(name)
+    assert main(["clt", "--ell", "4,8", "--reps", "5", "--out", "x.csv"]) == 0
+    assert seen.pop() == RunConfig("clt", ell_list=[4, 8], replicates=5, output="x.csv")
 
 
 def test_clt_rerun_byte_identical(tmp_path):
@@ -121,6 +153,13 @@ def test_exit_code_numeric_error():
     # 78^2 = 6084 nodes exceed the dense factorization budget
     out = invoke("clt", "--d", "3", "--ell", "2", "--reps", "2", "--grid-resolution", "78")
     assert out.returncode == 3
+
+
+def test_table_off_its_sum_rule_is_numeric_error(capsys):
+    # at ell = 4000 the Legendre table is not finite: refused, not printed as nan
+    with np.errstate(all="ignore"):
+        assert main(["clt", "--ell", "4000", "--reps", "2", "--grid-resolution", "16"]) == 3
+    assert "sum rule at ell=4000, res=16" in capsys.readouterr().err
 
 
 def test_s2_grid_over_budget_is_numeric_error(capsys):

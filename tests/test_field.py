@@ -19,8 +19,6 @@ from eigensphere.field import (
     load_field,
     replicate_seed,
     simulate,
-    simulate_s2,
-    simulate_sd,
 )
 from eigensphere.specfun import gegenbauer_eval_many
 
@@ -177,10 +175,22 @@ def test_legendre_table_addition_theorem():
         )
 
 
+def test_draw_refuses_table_off_its_sum_rule():
+    # from about ell = 2000 the table's subnormal sectoral starts break the sum
+    # rule (1e-4 off at ell = 2000 on 16 rings, nan at 4000): a draw must refuse
+    # the table rather than synthesize from it, and must not cache it
+    grid = build_grid(2, 16)
+    for ell in (2000, 4000):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"ell={ell}, res=16"):
+            simulate(ell, grid, 0)
+        assert ("legendre", ell) not in grid._cache
+    simulate(1900, build_grid(2, 8), 0)  # 1.6e-13 off on these rings
+
+
 def _direct_rows(ell, grid):
     """Real harmonic basis at every node by the direct sum over orders: the
     Legendre table times cos/sin of m phi, in the coefficient order of
-    simulate_s2 (g[0], then the cos/sin pair of each order m)."""
+    the ring route of simulate (g[0], then the cos/sin pair of each order m)."""
     phi = _s2_coordinates(grid)[0]
     a = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
     mphi = np.arange(1, ell + 1)[:, None] * phi[None, :]
@@ -211,16 +221,16 @@ def test_fft_synthesis_matches_direct_sum(ell, res):
     for seed in (0, 11):
         g = _rng_for(seed).standard_normal(2 * ell + 1)
         direct = g @ _direct_rows(ell, grid)
-        np.testing.assert_allclose(simulate_s2(ell, grid, seed).values, direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(simulate(ell, grid, seed).values, direct, rtol=0, atol=1e-12)
 
 
 def test_seed_determinism(grid64):
-    s1 = simulate_s2(8, grid64, 987654321)
-    s2 = simulate_s2(8, grid64, 987654321)
+    s1 = simulate(8, grid64, 987654321)
+    s2 = simulate(8, grid64, 987654321)
     assert np.array_equal(s1.values, s2.values)
     g3 = build_grid(3, 12)
-    t1 = simulate_sd(4, g3, 42)
-    t2 = simulate_sd(4, g3, 42)
+    t1 = simulate(4, g3, 42)
+    t2 = simulate(4, g3, 42)
     assert np.array_equal(t1.values, t2.values)
 
 
@@ -235,7 +245,7 @@ def test_pointwise_variance():
     grid = build_grid(2, 16)
     vals = np.empty(10_000)
     for r in range(len(vals)):
-        vals[r] = simulate_s2(4, grid, replicate_seed(5, r)).values[37]
+        vals[r] = simulate(4, grid, replicate_seed(5, r)).values[37]
     assert 0.94 <= vals.var(ddof=1) <= 1.06
 
 
@@ -247,7 +257,7 @@ def test_mean_zero_and_covariance_law(grid64):
     pos = {node: k for k, node in enumerate(tracked)}
     vals = np.empty((reps, len(tracked)))
     for r in range(reps):
-        vals[r] = simulate_s2(8, grid64, replicate_seed(21, r)).values[tracked]
+        vals[r] = simulate(8, grid64, replicate_seed(21, r)).values[tracked]
     # ensemble mean at tracked nodes ~ 0 at 3 sigma
     assert np.max(np.abs(vals.mean(axis=0))) <= 3.0 / math.sqrt(reps) + 0.01
     cov = np.cov(vals.T)
@@ -266,7 +276,7 @@ def test_antipodal_symmetry(ell, grid64):
     # from the northern ones, so exactly, and only those have a Legendre table
     m = len(_s2_coordinates(grid64)[0])
     res = len(grid64.cos_colat)
-    s = simulate_s2(ell, grid64, 31415)
+    s = simulate(ell, grid64, 31415)
     v = s.values.reshape(res, m)
     assert np.array_equal(grid64.cos_colat, -grid64.cos_colat[::-1])  # gauss_legendre mirrors its nodes
     assert grid64._cache[("legendre", ell)].size == (ell + 1) * ((res + 1) // 2)
@@ -288,7 +298,7 @@ def test_covariance_at_right_angle(grid64):
     reps = 4000
     vals = np.empty((reps, 2))
     for r in range(reps):
-        s = simulate_s2(4, grid64, replicate_seed(77, r))
+        s = simulate(4, grid64, replicate_seed(77, r))
         vals[r] = s.values[[n1, n2]]
     emp = np.cov(vals.T)[0, 1]
     se = math.sqrt((1.0 + 0.375**2) / reps)
@@ -298,7 +308,7 @@ def test_covariance_at_right_angle(grid64):
 def test_spectral_purity(grid64):
     # quadrature inner products against foreign-degree harmonics vanish
     ell = 8
-    s = simulate_s2(ell, grid64, 2024)
+    s = simulate(ell, grid64, 2024)
     phi = _s2_coordinates(grid64)[0]
     m_count = len(phi)
     v = s.values.reshape(-1, m_count)
@@ -370,7 +380,7 @@ def test_sd_matches_s2_law():
     pos = {node: k for k, node in enumerate(tracked)}
     vals = np.empty((reps, len(tracked)))
     for r in range(reps):
-        vals[r] = simulate_sd(8, grid, replicate_seed(13, r)).values[tracked]
+        vals[r] = simulate(8, grid, replicate_seed(13, r)).values[tracked]
     cov = np.cov(vals.T)
     for n1, n2 in pairs:
         target = gegenbauer_eval_many(8, 2, grid.nodes[n1] @ grid.nodes[n2])
@@ -389,7 +399,7 @@ def test_isotropy_residuals():
     pos = {node: k for k, node in enumerate(tracked)}
     vals = np.empty((reps, len(tracked)))
     for r in range(reps):
-        vals[r] = simulate_sd(6, grid, replicate_seed(17, r)).values[tracked]
+        vals[r] = simulate(6, grid, replicate_seed(17, r)).values[tracked]
     cov = np.cov(vals.T)
     resid, feature = [], []
     m = len(phi)
@@ -407,7 +417,7 @@ def test_isotropy_residuals():
 def test_grid_budget():
     g = build_grid(3, 78)  # 6084 nodes > dense budget
     with pytest.raises(GridTooLargeError):
-        simulate_sd(2, g, 1)
+        simulate(2, g, 1)
 
 
 def test_factorization_error(monkeypatch):
@@ -418,23 +428,23 @@ def test_factorization_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", boom)
     with pytest.raises(FactorizationError):
-        simulate_sd(3, g, 1)
+        simulate(3, g, 1)
 
 
 def test_simulate_dispatch(grid64):
     assert simulate(4, grid64, 5).values.shape == (grid64.size,)
     g3 = build_grid(3, 12)
     assert simulate(4, g3, 5).values.shape == (g3.size,)
-    with pytest.raises(ValueError):
-        simulate_s2(4, g3, 5)
 
 
-def test_each_route_refuses_the_other_grid(grid64):
-    with pytest.raises(ValueError, match="simulate_s2"):
-        simulate_sd(4, build_grid(2, 12), 0)
-    dense = _dense_copy(grid64)
-    with pytest.raises(ValueError, match="product grid"):
-        simulate_s2(4, dense, 0)
+def test_simulate_routes_by_grid(grid64):
+    # the grid picks the route, not d: an S^2 grid given by its nodes is sampled
+    # through the dense factor, the product grid by ring synthesis
+    dense = _dense_copy(build_grid(2, 12))
+    s = simulate(4, dense, 5)
+    assert s.coef is None
+    assert np.array_equal(s.values, _dense_factor(dense, 4) @ _rng_for(5).standard_normal(dense.size))
+    assert simulate(4, grid64, 5).coef.shape == (5,)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -442,14 +452,11 @@ def test_simulate_rejects_negative_degree(d):
     grid = build_grid(d, 12)
     with pytest.raises(ValueError, match="degree must be >= 0"):
         simulate(-1, grid, 0)
-    if d == 3:  # the dense route's kernel refuses it too, for direct callers
-        with pytest.raises(ValueError, match="degree must be >= 0"):
-            simulate_sd(-1, grid, 0)
 
 
 # ---------------------------------------------------------------- binary dump
 def test_dump_round_trip(tmp_path, grid64):
-    s = simulate_s2(8, grid64, 5)
+    s = simulate(8, grid64, 5)
     path = tmp_path / "sample.field"
     dump_field(s, path)
     d, ell, values = load_field(path)
@@ -461,7 +468,7 @@ def test_dump_round_trip(tmp_path, grid64):
 
 
 def test_dump_truncation_detected(tmp_path, grid64):
-    s = simulate_s2(8, grid64, 5)
+    s = simulate(8, grid64, 5)
     path = tmp_path / "sample.field"
     dump_field(s, path)
     path.write_bytes(path.read_bytes()[:-16])

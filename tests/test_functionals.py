@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensphere import field
-from eigensphere.field import _legendre_table, build_grid, replicate_seed, simulate, simulate_s2
+from eigensphere.field import _legendre_table, build_grid, replicate_seed, simulate
 from eigensphere.functionals import (
     defect,
     excursion_volume,
@@ -74,7 +74,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def sample(grid):
-    return simulate_s2(8, grid, 123456)
+    return simulate(8, grid, 123456)
 
 
 # --------------------------------------------------------------- coefficients
@@ -126,7 +126,7 @@ def test_excursion_mean_small_ensemble(grid):
     reps = 500
     target = MU2 * (1.0 - gauss_pdf_cdf(1.0)[1])
     vals = np.array(
-        [excursion_volume(simulate_s2(8, grid, replicate_seed(2, r)), 1.0) for r in range(reps)]
+        [excursion_volume(simulate(8, grid, replicate_seed(2, r)), 1.0) for r in range(reps)]
     )
     assert abs(vals.mean() - target) <= 3.0 * vals.std(ddof=1) / math.sqrt(reps)
 
@@ -137,13 +137,13 @@ def test_excursion_mean_small_ensemble(grid):
 @example(seed=0, z=-3.0)
 @example(seed=37063921, z=-2.0)
 def test_excursion_range(grid, seed, z):
-    assert 0.0 <= excursion_volume(simulate_s2(6, grid, seed), z) <= MU2
+    assert 0.0 <= excursion_volume(simulate(6, grid, seed), z) <= MU2
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_excursion_monotone_in_level(grid, seed):
-    s = simulate_s2(6, grid, seed)
+    s = simulate(6, grid, seed)
     ladder = [excursion_volume(s, z) for z in np.linspace(-3.5, 3.5, 29)]
     assert all(b <= a for a, b in zip(ladder, ladder[1:]))
 
@@ -159,7 +159,7 @@ def test_defect_identity(sample):
 
 def test_defect_mean_zero(grid):
     reps = 600
-    vals = np.array([defect(simulate_s2(8, grid, replicate_seed(4, r))) for r in range(reps)])
+    vals = np.array([defect(simulate(8, grid, replicate_seed(4, r))) for r in range(reps)])
     assert abs(vals.mean()) <= 3.0 * vals.std(ddof=1) / math.sqrt(reps)
 
 
@@ -167,7 +167,7 @@ def test_defect_zero_nodes_contribute_nothing():
     # keep only order 0 at odd degree: P_9(0) = 0 exactly, so the equator ring
     # of an odd-resolution grid is exactly zero and no other node is
     grid = build_grid(2, 65)
-    s = simulate_s2(9, grid, 777)
+    s = simulate(9, grid, 777)
     s.coef[1:] = 0.0
     v = s.values.reshape(65, 130)
     rest = np.delete(np.arange(65), 32)
@@ -204,7 +204,7 @@ def test_streamed_functionals_match_flat_sum(ell, res):
     north = (res + 1) // 2
     rows = field._BLOCK_DOUBLES // (2 * (ell // res + 1) * res)
     assert rows >= north or north % rows != 0
-    s = simulate_s2(ell, grid, 2718)
+    s = simulate(ell, grid, 2718)
     assert grid._cache[("legendre", ell)].size == (ell + 1) * north
     odd = ell % 2 == 1  # an odd f of an odd-degree field: exactly 0
     cases = [
@@ -247,7 +247,7 @@ def test_projection_base_cases(sample):
 def test_projection_variance_matches_formula(grid):
     reps = 3000
     vals = np.array(
-        [hermite_projection(simulate_s2(10, grid, replicate_seed(6, r)), 2) for r in range(reps)]
+        [hermite_projection(simulate(10, grid, replicate_seed(6, r)), 2) for r in range(reps)]
     )
     target = projection_variance(10, 2, 2)
     se = vals.var(ddof=1) * math.sqrt(2.0 / reps) * 2.0  # generous band
@@ -281,7 +281,7 @@ def test_expansion_tracks_excursion(grid):
     direct = np.empty(reps)
     expanded = np.empty(reps)
     for r in range(reps):
-        s = simulate_s2(32, grid, replicate_seed(9, r))
+        s = simulate(32, grid, replicate_seed(9, r))
         direct[r] = excursion_volume(s, 1.0) - mean
         expanded[r] = generic_functional(s, coeffs)
     corr = np.corrcoef(direct, expanded)[0, 1]
@@ -305,7 +305,7 @@ def test_expansion_l2_error_within_tail_bound():
     )
     errs = np.empty(reps)
     for r in range(reps):
-        s = simulate_s2(ell, fine, replicate_seed(9, r))
+        s = simulate(ell, fine, replicate_seed(9, r))
         errs[r] = excursion_volume(s, 1.0) - MU2 * (1.0 - cdf1) - generic_functional(s, coeffs)
     # 2x headroom: the bound is truncated at order 16 and the MC has noise
     assert np.mean(errs**2) <= 2.0 * tail

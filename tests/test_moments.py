@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from eigensphere import moments
 from eigensphere.moments import (
-    MomentResult,
     NonConvergedError,
     asymptotic_constant,
     defect_variance,
     moment_integral,
-    moment_result,
     projection_variance,
     scaling_law,
 )
@@ -259,15 +257,6 @@ def test_scaling_law_cases():
     law = scaling_law(5, 2)
     assert (law.exponent, law.log_power) == (-2, 0)
     assert law.constant == pytest.approx(asymptotic_constant(5, 2))
-
-
-def test_moment_result_packaging():
-    r = moment_result(128, 3, 2)
-    assert isinstance(r, MomentResult)
-    assert r.scaled == pytest.approx(128**2 * r.integral)
-    assert r.rel_err == pytest.approx(abs(r.scaled - r.target) / r.target)
-    r42 = moment_result(64, 4, 2)
-    assert r42.scaled == pytest.approx(64**2 * r42.integral / math.log(64))
 
 
 # ------------------------------------------------------------------ log growth

@@ -244,7 +244,7 @@ def test_bessel_pinned():
     assert abs(bessel_j(0.0, 2.404825557695773)) < 1e-10
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+@pytest.mark.parametrize("nu", [k / 2 for k in range(17)])
 def test_bessel_accuracy_scan(nu):
     x = np.concatenate(
         [
@@ -256,9 +256,11 @@ def test_bessel_accuracy_scan(nu):
     )
     err = np.abs(bessel_j(nu, x) - sp.jv(nu, x))
     seam = (x > 11.0) & (x < 15.0)
-    assert err[~seam].max() < 1e-12
-    # the asymptotic series bottoms out near exp(-2x) just past the switch
-    assert err[seam].max() < 2e-12
+    # half-integer orders above 6.5 lose digits to the upward recurrence below
+    # x = nu (9.3e-12 at 7.5); the asymptotic series bottoms out near exp(-2x)
+    # just past the switch, the more so the higher the order (1.1e-11 at 8)
+    assert err[~seam].max() < (1e-12 if nu <= 6.5 else 2e-11)
+    assert err[seam].max() < (2e-12 if nu <= 3.0 else 2e-11)
 
 
 def test_bessel_halfint_trig_identity():
@@ -274,9 +276,12 @@ def test_bessel_domain():
         bessel_j(0.3, 1.0)
     with pytest.raises(ValueError):
         bessel_j(-0.5, 1.0)
+    for nu in (8.5, 9.0):  # past the accurate orders (0.67 off at order 9)
+        with pytest.raises(ValueError, match="above 8"):
+            bessel_j(nu, 20.0)
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 7.5, 8.0])
 def test_bessel_zero_refinement(nu):
     z = _bessel_zeros(nu, 60)
     assert np.max(np.abs(bessel_j(nu, z))) < 1e-12
@@ -287,6 +292,8 @@ def test_bessel_derivative():
     x = np.linspace(0.4, 40.0, 200)
     for nu in [0.0, 0.5, 1.0, 2.0]:
         assert np.max(np.abs(bessel_j_derivative(nu, x) - sp.jvp(nu, x))) < 5e-12
+    for nu in [7.5, 8.0]:  # from orders nu - 1 and nu: nu + 1 is past bessel_j's
+        assert np.max(np.abs(bessel_j_derivative(nu, x) - sp.jvp(nu, x))) < 2e-11
 
 
 # ------------------------------------------------------------- gaussian, mu_d

@@ -7,13 +7,11 @@ import pytest
 from eigensphere.field import GridTooLargeError
 from eigensphere.stats import (
     ExperimentSpec,
-    NonpositiveValuesError,
     ReplicateError,
     TooFewSamplesError,
     default_resolution,
     empirical_cum4,
     ks_distance,
-    rate_fit,
     run_ensemble,
     w1_distance,
 )
@@ -42,6 +40,11 @@ def test_ensemble_standardization():
     s = run_ensemble(ExperimentSpec(2, 8, "projection", 64, q=2), 300, 3)
     assert abs(s.standardized.mean()) < 1e-12
     assert abs(s.standardized.var(ddof=1) - 1.0) < 1e-12
+    # the standard errors of the mean and of the variance, from plug-in moments
+    c = s.values - s.values.mean()
+    m2, m4 = np.mean(c**2), np.mean(c**4)
+    assert s.variance_stderr == pytest.approx(math.sqrt((m4 - m2**2) / 300), rel=1e-12)
+    assert s.mean_stderr == pytest.approx(math.sqrt(s.variance / 300), rel=1e-12)
 
 
 def test_first_projection_is_quadrature_noise():
@@ -130,29 +133,6 @@ def test_cum4_chi_square():
     # cum4 of a centered chi-square(1) is 2^3 * 3! = 48; its estimator noise
     # is dominated by the eighth cumulant, sqrt(cum8/n) ~ 2.5 here
     assert empirical_cum4(x) == pytest.approx(48.0, abs=10.0)
-
-
-# ------------------------------------------------------------------- rate fits
-def test_rate_fit_exact_power_law():
-    fit = rate_fit([(ell, 3.3 / ell**2) for ell in (32, 64, 128, 256)])
-    assert fit["slope"] == pytest.approx(-2.0, abs=1e-12)
-    assert fit["r2"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_rate_fit_moment_slopes():
-    from eigensphere.moments import moment_integral
-
-    pairs32 = [(ell, moment_integral(ell, 3, 2)) for ell in (64, 128, 256, 512)]
-    assert abs(rate_fit(pairs32)["slope"] + 2.0) <= 0.1
-    pairs23 = [(ell, moment_integral(ell, 2, 3)) for ell in (64, 128, 256, 512)]
-    assert abs(rate_fit(pairs23)["slope"] + 2.0) <= 0.05
-
-
-def test_rate_fit_errors():
-    with pytest.raises(ValueError):
-        rate_fit([(32, 1.0), (64, 0.5)])
-    with pytest.raises(NonpositiveValuesError):
-        rate_fit([(32, 1.0), (64, 0.5), (128, -0.1)])
 
 
 # ------------------------------------------------------------ trend checks

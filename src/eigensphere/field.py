@@ -269,8 +269,11 @@ def _draw_rings(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     key = ("legendre", ell)
     if key not in grid._cache:  # ring-major: one row of orders per northern colatitude
         north = grid.cos_colat[len(grid.cos_colat) // 2 :]
-        table, norm = _legendre_table(ell, north), 2.0 * ell + 1.0
-        if not np.all(np.abs(np.sum(table**2, axis=0) - norm) <= 1e-9 * norm):  # nan fails too
+        norm = 2.0 * ell + 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # a table that overflows is refused below
+            table = _legendre_table(ell, north)
+            off = np.abs(np.sum(table**2, axis=0) - norm)
+        if not np.all(off <= 1e-9 * norm):  # nan fails too
             raise ValueError(f"Legendre table breaks its sum rule at ell={ell}, res={len(grid.cos_colat)}")
         grid._cache[key] = np.ascontiguousarray((table / math.sqrt(norm)).T)
     n = 2 * (ell // len(grid.cos_colat) + 1) * len(grid.cos_colat)

@@ -3,7 +3,9 @@
 Everything downstream (moment integrals, covariance kernels, chaos
 coefficients) funnels through this module, so the routines here are kept
 dependency-free (numpy only) and are cross-checked in the test suite
-against closed forms and scipy.
+against closed forms and scipy.  One three-term recurrence, of the
+Gegenbauer kernel normalised to 1 at t = 1, serves both the kernel and
+the Gauss-Legendre rule (the d = 2 kernel is P_n).
 """
 from __future__ import annotations
 
@@ -34,9 +36,8 @@ _GL_TOL = 4.0 * np.finfo(float).eps
 # measured absolute error (tests/test_specfun.py) is <= 3e-13 off the seam; in
 # 11 < x < 15, where the asymptotic series bottoms out near exp(-2x), it is
 # <= 2e-12 to order 3 and 1.1e-11 at 8, but 0.67 at 9: orders stop at 8.
-# Half-integer orders use closed trig forms, except x <= 1 where the series is
-# exact instead; for 1 < x < nu their upward recurrence is unstable: <= 1e-14
-# to order 4.5, 7e-13 at 6.5, 9e-12 at 7.5.
+# Half-integer orders use closed trig forms above x = max(1, nu) and the
+# series below, where the trig forms' upward recurrence is unstable: <= 1e-14.
 _BESSEL_SWITCH = 12.0
 _BESSEL_MAX_ORDER = 8.0
 
@@ -48,67 +49,34 @@ def sphere_measure(d: int) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
 
 
-def _jacobi_ratio_last(ell: int, d: int, t: np.ndarray) -> np.ndarray:
-    """P_ell^(a,a)(t) / P_ell^(a,a)(1) with a = d/2 - 1, by the three-term
-    recurrence in the degree.
+def _gegenbauer_last_two(n: int, d: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G_(n-1)(t) and G_n(t) of the kernel on S^d normalised to G(1) = 1
+    (G_(-1) = 0), by G_k = a_k t G_(k-1) - (a_k - 1) G_(k-2) with
+    a_k = (2k + d - 3)/(k + d - 2), on three rows updated in place.
 
-    The value at 1 is carried through the same recurrence (not taken from
-    the binomial formula), so the ratio is exactly 1 at t = 1 regardless
-    of any Gamma-function error for odd d.  Rolling storage: three rows,
-    updated in place, and the last is divided by the value at 1 in place
-    and returned, so the moment quadratures evaluate tens of thousands of
-    nodes without materializing all degrees or allocating per step.
+    a_k lies in [1, 2), so a_k - 1 is exact and G_k(1) = 1 exactly; |G| <= 1
+    keeps every step in range, with no rescaling.  At d = 2 this is Bonnet's
+    recurrence for the Legendre P_n.
     """
-    a = d / 2.0 - 1.0
-    if ell == 0:
-        return np.ones_like(t)
-    p_prev = np.ones_like(t)
-    p_curr = (a + 1.0) * t
-    p_next = np.empty_like(p_curr)
-    one_prev, one_curr = 1.0, a + 1.0
-    s = 2.0 * a
-    for n in range(2, ell + 1):
-        c1 = 2.0 * n * (n + s) * (2.0 * n + s - 2.0)
-        c2 = (2.0 * n + s - 1.0) * (2.0 * n + s) * (2.0 * n + s - 2.0)
-        c3 = 2.0 * (n + a - 1.0) ** 2 * (2.0 * n + s)
-        np.multiply(c2, t, out=p_next)
-        p_next *= p_curr
-        p_prev *= c3
-        p_next -= p_prev
-        p_next /= c1  # = (c2 * t * p_curr - c3 * p_prev) / c1, in the same order
-        one_next = (c2 * one_curr - c3 * one_prev) / c1
-        p_prev, p_curr, p_next = p_curr, p_next, p_prev
-        one_prev, one_curr = one_curr, one_next
-        if one_curr > 1e290:  # rescale both rows; the recurrence is linear
-            p_prev /= one_curr
-            p_curr /= one_curr
-            one_prev = one_prev / one_curr
-            one_curr = 1.0
-    p_curr /= one_curr
-    return p_curr
-
-
-def _legendre_last_two(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_(n-1)(x) and P_n(x), n >= 1, by Bonnet's three-term recurrence in
-    three rows updated in place.  P_n is the d = 2 kernel, but a Newton step
-    needs P_(n-1) as well, which the kernel's evaluator does not keep."""
-    p_prev = np.ones_like(x)
-    p_curr = x.copy()
-    p_next = np.empty_like(x)
-    for k in range(1, n):
-        np.multiply(x, p_curr, out=p_next)
-        p_next *= (2.0 * k + 1.0) / (k + 1.0)
-        p_prev *= k / (k + 1.0)
-        p_next -= p_prev  # = ((2k+1) x P_k - k P_(k-1)) / (k+1)
-        p_prev, p_curr, p_next = p_curr, p_next, p_prev
-    return p_prev, p_curr
+    if n == 0:
+        return np.zeros_like(t), np.ones_like(t)
+    g_prev, g, g_next = np.ones_like(t), t.copy(), np.empty_like(t)
+    for k in range(2, n + 1):
+        a = (2.0 * k + d - 3.0) / (k + d - 2.0)
+        np.multiply(t, g, out=g_next)
+        g_next *= a
+        g_prev *= a - 1.0
+        g_next -= g_prev  # = a t G_(k-1) - (a - 1) G_(k-2)
+        g_prev, g, g_next = g, g_next, g_prev
+    return g_prev, g
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [-1, 1]: n increasing nodes and their weights,
     exact for polynomials of degree <= 2n - 1.
 
-    Newton's method on P_n from Tricomi's asymptotic guesses (Hale and
+    Newton's method on P_n (the d = 2 kernel; its recurrence also gives
+    P_(n-1) for the slope) from Tricomi's asymptotic guesses (Hale and
     Townsend, SIAM J. Sci. Comput. 35, 2013), on the nonnegative half only;
     the other half is its mirror image, so x == -x[::-1] exactly and an odd
     n has the node 0 exactly.  Each step runs the n-step recurrence over
@@ -131,7 +99,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n % 2:
         x[-1] = 0.0  # P_n is odd: the middle root is exact, and stays so
     for _ in range(_GL_MAX_STEPS):
-        p_prev, p = _legendre_last_two(n, x)
+        p_prev, p = _gegenbauer_last_two(n, 2, x)
         one_minus = (1.0 - x) * (1.0 + x)  # no cancellation next to x = 1
         dp = n * (p_prev - x * p) / one_minus
         dx = p / dp
@@ -146,7 +114,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gegenbauer_eval_many(ell: int, d: int, t):
     """Normalized Gegenbauer polynomial of degree ell on S^d (the
-    covariance kernel, exactly 1 at t = 1) at t in [-1, 1].
+    covariance kernel, 1 at t = 1 by construction) at t in [-1, 1].
 
     Accepts a scalar (returns a numpy scalar) or an array, which is left
     untouched.  Arguments within _T_TOL outside [-1, 1] are clipped,
@@ -160,7 +128,7 @@ def gegenbauer_eval_many(ell: int, d: int, t):
     lo, hi = t.min(initial=0.0), t.max(initial=0.0)  # initial: empty t passes
     if lo < -1.0 - _T_TOL or hi > 1.0 + _T_TOL:
         raise ValueError(f"argument out of [-1, 1]: |t| = {max(-lo, hi)}")
-    g = _jacobi_ratio_last(ell, d, np.clip(np.atleast_1d(t), -1.0, 1.0))
+    g = _gegenbauer_last_two(ell, d, np.clip(np.atleast_1d(t), -1.0, 1.0))[1]
     return g if t.ndim else g[0]
 
 
@@ -239,7 +207,7 @@ def _bessel_asymptotic_int(n: int, x: np.ndarray) -> np.ndarray:
 
 def _bessel_halfint_trig(nu: float, x: np.ndarray) -> np.ndarray:
     """Closed trigonometric forms for half-integer order (upward recurrence
-    from J_{-1/2}, J_{1/2}); unstable where x < nu, see the module header."""
+    from J_{-1/2}, J_{1/2}); unstable where x < nu, so only used above."""
     pref = np.sqrt(2.0 / (math.pi * x))
     j_minus = pref * np.cos(x)  # J_{-1/2}
     j = pref * np.sin(x)  # J_{+1/2}
@@ -263,9 +231,9 @@ def bessel_j(nu: float, x):
     if np.any(arr < 0):
         raise ValueError("bessel_j requires x >= 0")
     out = np.empty_like(arr)
-    # half-integer orders: closed trigonometric forms except near 0, where
-    # the upward recurrence cancels and the series is exact instead
-    small = arr <= (_BESSEL_SWITCH if float(nu).is_integer() else 1.0)
+    # half-integer orders: closed trigonometric forms except below max(1, nu),
+    # where the upward recurrence cancels and the series is exact instead
+    small = arr <= (_BESSEL_SWITCH if float(nu).is_integer() else max(1.0, nu))
     if np.any(small):
         out[small] = _bessel_series(float(nu), arr[small])
     if np.any(~small):

@@ -5,8 +5,9 @@
 only its ring weights and colatitude cosines; a draw keeps its coefficients and is
 synthesized a cache-sized block of rings at a time, northern rings only: the grid
 is mirrored and f(-x) = (-1)^ell f(x), so a southern ring is its mirror rolled half
-a turn, times (-1)^ell.  A node set (d >= 3) Cholesky-factors the dense covariance
-(N <= 6000), built in place in row blocks: factoring holds 3 N^2 doubles at its peak.
+a turn, times (-1)^ell.  A node set (d >= 3, N <= 6000) draws through its exact harmonic
+factor Y (dim_d(ell) x N, Y^T Y the kernel), built by recursion in dimension: a draw is
+one mat-vec, and Y, at most N^2 doubles (200 MB at ell = 64 on 5929 nodes), is its peak.
 """
 from __future__ import annotations
 
@@ -17,13 +18,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import gauss_legendre, gegenbauer_eval_many, sphere_measure
+from .specfun import gauss_legendre, gegenbauer_eval_many, gegenbauer_rows, sphere_measure
 
 __all__ = [
     "SphereGrid",
     "FieldSample",
     "GridTooLargeError",
-    "FactorizationError",
     "build_grid",
     "simulate",
     "replicate_seed",
@@ -34,18 +34,12 @@ __all__ = [
 
 DENSE_NODE_BUDGET = 6000
 S2_NODE_BUDGET = 2**25  # 2 res^2 nodes, so res <= 4096: 256 MiB of node values
-_JITTER_REL = 1e-10
-_KERNEL_ROWS = 8  # covariance rows per kernel call, so its recurrence rows stay in cache
 _TABLE_DOUBLES = 2**17  # an order group's three Legendre row buffers: 1 MiB, kept in cache
 _BLOCK_DOUBLES = 2**16  # one block of synthesized rings: 512 KiB, kept in cache
 
 
 class GridTooLargeError(ValueError):
-    """Node count exceeds the S^2 grid budget or the dense factorization budget."""
-
-
-class FactorizationError(RuntimeError):
-    """Jittered covariance matrix was not numerically positive semidefinite."""
+    """Node count exceeds the S^2 grid budget or the node-set budget."""
 
 
 @dataclass(eq=False)
@@ -53,7 +47,7 @@ class SphereGrid:
     """Quadrature grid on S^d: positive weights whose node total is the surface
     measure, and what ``simulate`` routes by: ``cos_colat`` and one weight per
     ring on an S^2 product grid (ring synthesis), ``nodes`` and one weight per
-    node on a node set (the dense factor)."""
+    node on a node set (the harmonic factor)."""
 
     d: int
     weights: np.ndarray  # (res,) per ring on a product grid, (N,) per node otherwise
@@ -314,43 +308,116 @@ def ring_blocks(sample: FieldSample):
         yield slice(first + r0, first + r0 + n), rings[:n, ::k]
 
 
+def _harmonic_dim(ell: int, d: int) -> int:
+    """Dimension of the degree-ell harmonics on S^d: 2 ell + 1 on S^2, (ell + 1)^2 on S^3."""
+    return math.comb(ell + d, d) - (math.comb(ell + d - 2, d) if ell >= 2 else 0)
+
+
+def _zonal_norm(ell: int, d: int, k: int) -> float:
+    """c_(ell,k) of W_(ell,k) = c_(ell,k) sin^k(chi) G^(d+2k)_(ell-k)(cos chi), from
+    c^2 = mu_d dim_(d-1)(k) C^(k+lam)_(ell-k)(1)^2 / (mu_(d-1) dim_d(ell) h^(k+lam)_(ell-k)),
+    lam = (d - 1)/2, h the Gegenbauer norm (DLMF 18.3), in lgamma form."""
+    a, n = k + 0.5 * (d - 1), ell - k
+    log_c2 = (
+        math.log(sphere_measure(d) / sphere_measure(d - 1))
+        + math.log(_harmonic_dim(k, d - 1)) - math.log(_harmonic_dim(ell, d))
+        + math.lgamma(n + 2.0 * a) - math.lgamma(n + 1.0) + math.log(n + a)
+        + 2.0 * math.lgamma(a) - 2.0 * math.lgamma(2.0 * a) - math.log(math.pi) + (2.0 * a - 1.0) * math.log(2.0)
+    )
+    return math.exp(0.5 * log_c2)
+
+
+def _polar_chart(nodes: np.ndarray, ell: int):
+    """Hyperspherical coordinates of the unit vectors ``nodes`` (N, d + 1): row i of
+    ``cos`` and ``sin`` is the cosine and sine of the i-th polar angle,
+    x_i / |x_i..x_d| and |x_(i+1)..x_d| / |x_i..x_d| (i = 0..d-2), and ``trig`` holds
+    the rows 1, cos(j phi), sin(j phi) of the harmonics of S^1, j = 1..ell, with phi
+    the angle of (x_(d-1), x_d).  Where a tail x_i..x_d vanishes, the sine one level up
+    is 0, so every row of positive degree there is 0 and the angle is immaterial."""
+    d = nodes.shape[1] - 1
+    x = np.ascontiguousarray(nodes.T)
+    tail = np.sqrt(np.cumsum(x[::-1] ** 2, axis=0))[::-1]
+    norm = np.where(tail > 0.0, tail, 1.0)[: d - 1]
+    cos, sin = x[: d - 1] / norm, tail[1:d] / norm
+    j_phi = np.arange(1, ell + 1)[:, None] * np.arctan2(x[d], x[d - 1])
+    trig = np.empty((2 * ell + 1, len(nodes)))
+    trig[0] = 1.0
+    trig[1::2], trig[2::2] = np.cos(j_phi), np.sin(j_phi)
+    return cos, sin, trig
+
+
+def _rows_by_degree(top: int, cos: np.ndarray, sin: np.ndarray, trig: np.ndarray):
+    """Yield the harmonic rows of degree k = 0..top on S^(len(cos) + 1), in order of k,
+    as a list of (rows of S^1, weight) pairs whose products, stacked, are those rows:
+    for j = 0..k, W_(k,j) of the first polar angle times the pairs of degree j one
+    dimension down, which are kept.  Each order j keeps one live ``gegenbauer_rows``
+    recurrence that steps once per degree: O(k N) kernel steps for degree k, where
+    one ``gegenbauer_eval_many`` per (k, j) would take O(k^2 N)."""
+    if not len(cos):  # S^1
+        yield [(trig[:1], 1.0)]
+        for k in range(1, top + 1):
+            yield [(trig[2 * k - 1 : 2 * k + 1], 1.0)]
+        return
+    d = len(cos) + 1
+    inner, kernels, powers = [], [], []
+    for k, pairs in enumerate(_rows_by_degree(top, cos[1:], sin[1:], trig)):
+        inner.append(pairs)
+        kernels.append(gegenbauer_rows(d + 2 * k, cos[0]))
+        powers.append(sin[0] ** k)
+        out = []
+        for j in range(k + 1):
+            w = next(kernels[j]) * powers[j]  # G^(d+2j)_(k-j) sin^j
+            w *= _zonal_norm(k, d, j)
+            out.extend((rows, v * w) for rows, v in inner[j])
+        yield out
+
+
 def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
-    """Cached Cholesky factor of the jittered covariance.  One GEMM gives the Gram;
-    the kernel overwrites its lower triangle and diagonal in place, _KERNEL_ROWS rows at
-    a time, and np.linalg.cholesky reads only that triangle.  Peak: the covariance, numpy's
-    work copy and its result (3 n^2 doubles), plus n^2 for each degree already cached."""
-    key = ("chol", ell)
+    """Cached harmonic factor Y of a node set, shape (dim_d(ell), N): real harmonics
+    of degree ell scaled so that Y^T Y is the kernel [G(<x_i, x_j>)] to rounding, with
+    unit columns (the addition theorem, DLMF 18.18(ii)).  Block k = 0..ell of Y is
+    W_(ell,k)(x_0) times the rows of degree k on S^(d-1) at the remaining coordinates
+    over sin(chi), down to S^1.  Peak: Y plus O(ell N) doubles at d = 3 (at d >= 4,
+    plus the kept pairs of ``_rows_by_degree``).
+
+    Refused before anything is allocated: over DENSE_NODE_BUDGET nodes
+    (GridTooLargeError), and with fewer nodes than dim_d(ell) (ValueError), where no
+    positive-weight rule on the nodes is exact at degree 2 ell, so h_2 is biased."""
+    key = ("factor", ell)
     if key not in grid._cache:
-        n = grid.size
+        d, n = grid.d, grid.size
         if n > DENSE_NODE_BUDGET:
-            raise GridTooLargeError(
-                f"{n} nodes exceeds the dense factorization budget {DENSE_NODE_BUDGET}"
+            raise GridTooLargeError(f"{n} nodes exceeds the node-set budget {DENSE_NODE_BUDGET}")
+        dim = _harmonic_dim(ell, d)
+        if dim > n:
+            raise ValueError(
+                f"degree {ell} on S^{d} needs at least {dim} nodes (its harmonic dimension), the grid has {n}"
             )
-        cov = grid.nodes @ grid.nodes.T  # roundoff past +-1 is the evaluator's to handle
-        for j in range(_KERNEL_ROWS, n + _KERNEL_ROWS, _KERNEL_ROWS):  # the last block stops at n
-            cov[j - _KERNEL_ROWS : j, :j] = gegenbauer_eval_many(ell, grid.d, cov[j - _KERNEL_ROWS : j, :j])
-        jitter = _JITTER_REL * np.trace(cov) / n
-        cov[np.diag_indices(n)] += jitter
-        try:
-            grid._cache[key] = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationError(
-                f"covariance factorization failed for ell={ell}, d={grid.d}, N={n}"
-            ) from exc
+        cos, sin, trig = _polar_chart(grid.nodes, ell)
+        factor = np.empty((dim, n))
+        r = 0
+        for k, pairs in enumerate(_rows_by_degree(ell, cos[1:], sin[1:], trig)):
+            w = gegenbauer_eval_many(ell - k, d + 2 * k, cos[0])
+            w *= sin[0] ** k
+            w *= _zonal_norm(ell, d, k)
+            for rows, v in pairs:
+                np.multiply(rows, v * w, out=factor[r : r + len(rows)])
+                r += len(rows)
+        grid._cache[key] = factor
     return grid._cache[key]
 
 
 def _draw_dense(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
-    """Node-set sampling through the cached covariance factor: values =
-    L z with L L^T = [G(<x_i, x_j>)] + jitter I and z i.i.d. N(0,1)."""
+    """Node-set sampling through the cached harmonic factor: values = g Y with
+    g i.i.d. N(0,1), one per harmonic, so the covariance is Y^T Y, the kernel."""
     factor = _dense_factor(grid, ell)
-    z = _rng_for(seed).standard_normal(grid.size)
-    return FieldSample(grid, ell, values=factor @ z)
+    g = _rng_for(seed).standard_normal(len(factor))
+    return FieldSample(grid, ell, values=g @ factor)
 
 
 def simulate(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
     """One draw of the degree-ell field on ``grid``: ring synthesis on an S^2
-    product grid (``cos_colat`` set), the dense factor on a node set."""
+    product grid (``cos_colat`` set), the harmonic factor on a node set."""
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
     if grid.cos_colat is not None:

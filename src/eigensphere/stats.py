@@ -93,8 +93,9 @@ def default_resolution(d: int, kind: str, ell: int, q: int = 2) -> int:
     Indicator functionals on S^2 are bias-limited by nodal-boundary
     quantization (variance inflation scales like (ell/resolution)^3), so
     the defect gets 6*ell; smooth projections only need the quadrature to
-    be exact at degree q*ell.  For d >= 3 the dense-factorization budget
-    caps the node count at 6000, i.e. resolution 77.
+    be exact at degree q*ell.  For d >= 3 the node-set budget caps the node
+    count at 6000, i.e. resolution 77 (5929 nodes), and a draw needs at least
+    dim_d(ell) nodes, so that grid admits ell <= 76 at d = 3 and ell <= 24 at d = 4.
     """
     if d != 2:
         return 77
@@ -110,7 +111,7 @@ _GRID_CACHE: dict[tuple[int, int], SphereGrid] = {}
 
 def shared_grid(d: int, resolution: int) -> SphereGrid:
     """Process-wide grid reuse so repeated ensembles share Legendre
-    tables and covariance factors."""
+    tables and harmonic factors."""
     key = (d, resolution)
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = build_grid(d, resolution)

@@ -150,9 +150,19 @@ def test_exit_code_config_error():
 
 
 def test_exit_code_numeric_error():
-    # 78^2 = 6084 nodes exceed the dense factorization budget
+    # 78^2 = 6084 nodes exceed the node-set budget
     out = invoke("clt", "--d", "3", "--ell", "2", "--reps", "2", "--grid-resolution", "78")
     assert out.returncode == 3
+
+
+def test_degree_past_node_count_is_numeric_error():
+    # the default d = 3 grid has 77^2 = 5929 nodes: degree 76 has 5929 harmonics,
+    # degree 77 has 6084, which no draw on 5929 nodes can carry
+    out = invoke("clt", "--d", "3", "--ell", "77", "--reps", "2")
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == [
+        "numeric error: replicate 0: degree 77 on S^3 needs at least 6084 nodes (its harmonic dimension), the grid has 5929"
+    ]
 
 
 def test_table_off_its_sum_rule_is_numeric_error():

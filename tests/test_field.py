@@ -8,10 +8,10 @@ import pytest
 from eigensphere import field
 from eigensphere.field import (
     S2_NODE_BUDGET,
-    FactorizationError,
     GridTooLargeError,
     SphereGrid,
     _dense_factor,
+    _harmonic_dim,
     _legendre_table,
     _rng_for,
     build_grid,
@@ -322,51 +322,100 @@ def test_spectral_purity(grid64):
 
 
 # ------------------------------------------------------------------- dense route
+def _top_degree(d, n):
+    """The largest degree whose harmonic dimension fits on n nodes."""
+    ell = 0
+    while _harmonic_dim(ell + 1, d) <= n:
+        ell += 1
+    return ell
+
+
 def test_dense_factor_diagonal():
-    g = build_grid(3, 12)
-    factor = _dense_factor(g, 6)
-    cov_diag = np.sum(factor * factor, axis=1)
-    np.testing.assert_allclose(cov_diag, 1.0, atol=1e-8)
+    # unit columns, no jitter: S^5 takes four levels of the dimension recursion
+    g = build_grid(5, 12)
+    for ell in (0, 1, 4):
+        factor = _dense_factor(g, ell)
+        assert factor.shape == (_harmonic_dim(ell, 5), g.size)
+        np.testing.assert_allclose(np.sum(factor * factor, axis=0), 1.0, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("d, res", [(3, 31), (4, 13), (2, 12)])
+def _kernel_extended(ell, d, nodes):
+    """The kernel on the Gram matrix in long double, by the recurrence of
+    specfun.gegenbauer_rows: in double, rounding the Gram alone moves G by up to
+    eps * G'(1) = eps * ell (ell + d - 1) / d, 1.1e-12 at ell = 143 on S^2."""
+    x = nodes.astype(np.longdouble)
+    x /= np.sqrt(np.sum(x * x, axis=1))[:, None]
+    t = np.clip(x @ x.T, -1, 1)
+    g_prev, g = np.ones_like(t), t if ell else np.ones_like(t)
+    for k in range(2, ell + 1):
+        a = np.longdouble(2 * k + d - 3) / np.longdouble(k + d - 2)
+        g_prev, g = g, a * t * g - (a - 1) * g_prev
+    return g
+
+
+@pytest.mark.parametrize("d, res", [(3, 31), (4, 13), (4, 17), (2, 12)])
 def test_dense_factor_matches_full_matrix_build(d, res):
-    # the row-block, lower-triangle build must give the bits of the plain
-    # recipe; n = 961 and 169 end in a partial block, n = 288 does not
+    # Y^T Y is the kernel on the Gram matrix, up to the largest degree the grid
+    # admits (30 on 961 nodes, 6 on 169, 8 on 289, 143 on 288), against a long
+    # double reference: at ell = 143 the double kernel itself is 2.3e-12 off it
+    assert np.finfo(np.longdouble).eps < 1e-18
     grid = build_grid(d, res)
     if d == 2:  # the dense route on S^2 needs the coordinates the grid does not keep
         grid = _dense_copy(grid)
     n = grid.size
-    for ell in (0, 1, 8, 33):
-        gram = grid.nodes @ grid.nodes.T
-        cov = gegenbauer_eval_many(ell, d, gram.ravel()).reshape(n, n)
-        cov[np.diag_indices(n)] += 1e-10 * np.trace(cov) / n
-        assert np.array_equal(_dense_factor(grid, ell), np.linalg.cholesky(cov)), (d, res, ell)
+    top = _top_degree(d, n)
+    for ell in sorted({0, 1, min(8, top), top}):
+        factor = _dense_factor(grid, ell)
+        assert factor.shape == (_harmonic_dim(ell, d), n)
+        err = np.max(np.abs(factor.T @ factor - _kernel_extended(ell, d, grid.nodes)))
+        assert err <= 1e-12, (d, res, ell, float(err))
+        np.testing.assert_allclose(np.sum(factor * factor, axis=0), 1.0, rtol=0, atol=1e-12)
+    # the double kernel agrees where its own rounding stays small
+    gram = grid.nodes @ grid.nodes.T
+    ell = min(8, top)
+    factor = _dense_factor(grid, ell)
+    assert np.max(np.abs(factor.T @ factor - gegenbauer_eval_many(ell, d, gram))) <= 1e-13
+
+
+def test_dense_factor_at_poles():
+    # nodes on the axes: a polar angle's sine is 0 there, and the next chart
+    # level has nothing to normalise; every row of positive degree is 0 at them
+    base = build_grid(3, 12)
+    axes = np.vstack([np.eye(4), -np.eye(4), [[0.0, 0.0, 0.6, 0.8]]])
+    grid = SphereGrid(3, np.ones(len(base.weights) + len(axes)), nodes=np.vstack([base.nodes, axes]))
+    factor = _dense_factor(grid, 9)
+    assert np.all(np.isfinite(factor))
+    err = np.max(np.abs(factor.T @ factor - _kernel_extended(9, 3, grid.nodes)))
+    assert err <= 1e-13, err
 
 
 def test_dense_factor_peak_memory():
-    # the covariance and the factor numpy returns: 2 n^2 doubles (numpy's
-    # LAPACK work copy is a third, allocated where tracemalloc cannot see it)
+    # the factor itself (dim x N doubles) plus O(ell N): the chart, the S^1 rows,
+    # one live recurrence and one weight row per order; here dim = N = 900
     grid = build_grid(3, 30)
-    n = grid.size
+    n, ell = grid.size, 29
     tracemalloc.start()
     try:
-        _dense_factor(grid, 8)
+        _dense_factor(grid, ell)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * n * n * 8 + 2**20, peak / (8 * n * n)
+    assert peak <= 8 * n * (_harmonic_dim(ell, 3) + 10 * (ell + 1)), peak / (8 * n)
 
 
-def test_dense_factor_checks_last_block():
-    # a node just off the sphere in the final, partial block must still be
-    # caught by the evaluator's range check
-    base = build_grid(3, 31)
-    nodes = base.nodes.copy()
-    nodes[-1] *= 1.0 + 1e-9
-    grid = SphereGrid(3, base.weights, nodes=nodes)
-    with pytest.raises(ValueError, match=r"argument out of \[-1, 1\]"):
-        _dense_factor(grid, 8)
+def test_dense_factor_refuses_degree_past_node_count():
+    # dim_3(12) = 169 > 144 nodes: refused before the factor is allocated
+    grid = build_grid(3, 12)
+    _dense_factor(grid, 11)  # dim_3(11) = 144 fits
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="needs at least 169 nodes"):
+            simulate(12, grid, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert ("factor", 12) not in grid._cache
 
 
 def test_sd_matches_s2_law():
@@ -415,20 +464,9 @@ def test_isotropy_residuals():
 
 
 def test_grid_budget():
-    g = build_grid(3, 78)  # 6084 nodes > dense budget
+    g = build_grid(3, 78)  # 6084 nodes > node-set budget
     with pytest.raises(GridTooLargeError):
         simulate(2, g, 1)
-
-
-def test_factorization_error(monkeypatch):
-    g = build_grid(3, 12)
-
-    def boom(_):
-        raise np.linalg.LinAlgError("not positive definite")
-
-    monkeypatch.setattr(np.linalg, "cholesky", boom)
-    with pytest.raises(FactorizationError):
-        simulate(3, g, 1)
 
 
 def test_simulate_dispatch(grid64):
@@ -439,11 +477,12 @@ def test_simulate_dispatch(grid64):
 
 def test_simulate_routes_by_grid(grid64):
     # the grid picks the route, not d: an S^2 grid given by its nodes is sampled
-    # through the dense factor, the product grid by ring synthesis
+    # through the harmonic factor, one N(0,1) per harmonic, the product grid by
+    # ring synthesis
     dense = _dense_copy(build_grid(2, 12))
     s = simulate(4, dense, 5)
     assert s.coef is None
-    assert np.array_equal(s.values, _dense_factor(dense, 4) @ _rng_for(5).standard_normal(dense.size))
+    assert np.array_equal(s.values, _rng_for(5).standard_normal(9) @ _dense_factor(dense, 4))
     assert simulate(4, grid64, 5).coef.shape == (5,)
 
 

@@ -17,6 +17,7 @@ from eigensphere.functionals import (
 )
 from eigensphere.moments import projection_variance
 from eigensphere.specfun import gauss_pdf_cdf, hermite_eval, sphere_measure
+from eigensphere.stats import default_resolution
 
 MU2 = sphere_measure(2)
 
@@ -242,6 +243,22 @@ def test_projection_base_cases(sample):
     assert abs(hermite_projection(sample, 1)) < 1e-10
     with pytest.raises(ValueError):
         hermite_projection(sample, -1)
+
+
+@pytest.mark.parametrize("ell", [8, 33, 128])
+def test_h2_chi_square_identity(ell):
+    # the default projection grid is exact at degree 2 ell, so every draw has
+    # h_2 = (4 pi / n)(sum g^2 - n), n = 2 ell + 1, with g its N(0,1) coefficients
+    # (recovered from coef, which the ring FFT of length m scales by m and m / 2):
+    # the synthesis and the quadrature checked per draw, whatever the seed
+    res = default_resolution(2, "projection", ell, q=2)
+    grid = build_grid(2, res)
+    n, m = 2 * ell + 1, 2 * (ell // res + 1) * res
+    for r in range(10):
+        s = simulate(ell, grid, replicate_seed(3, r))
+        sum_g2 = (s.coef[0].real / m) ** 2 + (2.0 / m) ** 2 * np.sum(np.abs(s.coef[1:]) ** 2)
+        exact = MU2 / n * (sum_g2 - n)
+        assert abs(hermite_projection(s, 2) - exact) <= 1e-12 * MU2 / n * sum_g2, (ell, r)
 
 
 def test_projection_variance_matches_formula(grid):

@@ -7,7 +7,10 @@ synthesized a cache-sized block of rings at a time, northern rings only: the gri
 is mirrored and f(-x) = (-1)^ell f(x), so a southern ring is its mirror rolled half
 a turn, times (-1)^ell.  A node set (d >= 3, N <= 6000) draws through its exact harmonic
 factor Y (dim_d(ell) x N, Y^T Y the kernel), built by recursion in dimension: a draw is
-one mat-vec, and Y, at most N^2 doubles (200 MB at ell = 64 on 5929 nodes), is its peak.
+one mat-vec, and Y, at most N^2 doubles (200 MB at ell = 64 on 5929 nodes), is its peak;
+the grid keeps at most N^2 doubles of factors.  Both routes take the associated functions
+sin^j G^(d+2j) of S^d from one degree-major recurrence, ``_associated_rows``: the S^2
+Legendre table at d = 2, and the W_(ell,k) of every level of the factor.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import gauss_legendre, gegenbauer_eval_many, gegenbauer_rows, sphere_measure
+from .specfun import gauss_legendre, gegenbauer_eval_many, sphere_measure
 
 __all__ = [
     "SphereGrid",
@@ -186,57 +189,63 @@ def _angles_to_sphere(u: np.ndarray, d: int) -> np.ndarray:
     return nodes
 
 
-def _legendre_table(ell: int, x: np.ndarray) -> np.ndarray:
-    """4pi-normalized associated Legendre values p(m, i) for m = 0..ell at
-    the colatitude cosines x; satisfies sum_m p^2 = 2*ell + 1 pointwise.
+def _associated_rows(top: int, d: int, x: np.ndarray, s: np.ndarray, lo: int = 0, hi: int | None = None):
+    """Yield, for k = lo..top, the orthonormal associated functions V^(d)_(k,j) of S^d at
+    the cosines x and sines s, orders j = lo..min(k, hi - 1) (every order by default):
+    V_(k,j) = c sin^j G^(d+2j)_(k-j), sum_j V_(k,j)^2 = dim_d(k).  On S^2 these are the
+    4pi-normalised associated Legendre functions, sum_j V^2 = 2k + 1.
 
-    Sectoral rows p(m, m) first, then for each order the upward recurrence
-    in the degree, the standard stable direction.  The recurrence runs
-    degree-major: one vectorised step per degree over every order already
-    started (m <= deg - 2), each order started just before its first step,
-    on three rotating row buffers updated in place.  Orders go in groups of
-    _TABLE_DOUBLES // (3 * len(x)), so that a group's buffers stay in cache;
-    that makes about ell Python steps per group where an order-by-order loop
-    makes ell^2 / 2.  Each value sees the same operations in the same order
-    as in that loop, so the table has the same bits.
+    Degree-major: with lam = (d - 1)/2, a sectoral row V_(k,k) = V_(k-1,k-1) s times
+    sqrt(dim_(d-1)(k) / dim_(d-1)(k-1) (k + lam) / (k + lam - 1/2)); an order's first
+    step V_(k,k-1) = x sqrt(2k + d - 1) V_(k-1,k-1); then one vectorised step per degree,
+    V_(k,j) = a x V_(k-1,j) - b V_(k-2,j), over every order started, on three rotating row
+    buffers updated in place.  A yielded array is valid until the next one is asked for.
     """
-    n = len(x)
-    u = np.sqrt(np.clip(1.0 - x * x, 0.0, 1.0))
-    out = np.empty((ell + 1, n))
-    out[0] = 1.0
-    if ell == 0:
-        return out
-    out[1] = math.sqrt(3.0) * u
-    for m in range(2, ell + 1):
-        np.multiply(out[m - 1], u, out=out[m])
-        out[m] *= math.sqrt((2.0 * m + 1.0) / (2.0 * m))
-    out[ell - 1] = x * math.sqrt(2.0 * ell + 1.0) * out[ell - 1]  # order ell - 1 takes no step
-    rows = ell - 1  # orders 0..ell-2 take steps
-    group = max(1, _TABLE_DOUBLES // (3 * n))
-    for m0 in range(0, rows, group):
-        m1 = min(rows, m0 + group)
-        prev, curr, scratch = (np.empty((m1 - m0, n)) for _ in range(3))
-        for deg in range(m0 + 2, ell + 1):
-            if deg - 2 < m1:  # start order deg - 2 at p(deg - 2) and p(deg - 1)
-                i = deg - 2 - m0
-                prev[i] = out[deg - 2]
-                np.multiply(x, math.sqrt(2.0 * deg - 1.0), out=curr[i])
-                curr[i] *= out[deg - 2]
-            m = np.arange(m0, min(deg - 1, m1))
-            a = np.sqrt((2.0 * deg - 1.0) * (2.0 * deg + 1.0) / ((deg - m) * (deg + m)))
-            b = np.sqrt(
-                (2.0 * deg + 1.0)
-                * (deg + m - 1.0)
-                * (deg - m - 1.0)
-                / ((deg - m) * (deg + m) * (2.0 * deg - 3.0))
-            )
-            k = len(m)
-            step = np.multiply(a[:, None], x, out=scratch[:k])
-            step *= curr[:k]
-            prev[:k] *= b[:, None]
-            np.subtract(step, prev[:k], out=prev[:k])  # (a x) p(deg-1) - b p(deg-2)
-            prev, curr = curr, prev
-        out[m0:m1] = curr
+    hi = top + 1 if hi is None else min(hi, top + 1)
+    lam = 0.5 * (d - 1)
+    prev, curr, scratch = (np.empty((hi - lo, len(x))) for _ in range(3))
+    sect = np.ones(len(x))  # V_(k,k), the sectoral chain every order starts from
+    for k in range(top + 1):
+        j = np.arange(lo, min(k - 1, hi))  # orders that step from degrees k - 1 and k - 2
+        if len(j):
+            a = np.sqrt((2.0 * k + d - 3.0) * (2.0 * k + d - 1.0) / ((k - j) * (k + j + d - 2)))
+            b = np.sqrt((2.0 * k + d - 1.0) * (k + j + d - 3.0) * (k - j - 1.0)
+                        / ((k - j) * (k + j + d - 2) * (2.0 * k + d - 5.0)))
+            m = len(j)
+            step = np.multiply(a[:, None], x, out=scratch[:m])
+            step *= curr[:m]
+            prev[:m] *= b[:, None]
+            np.subtract(step, prev[:m], out=prev[:m])  # (a x) V_(k-1) - b V_(k-2)
+        if lo <= k - 1 < hi:  # order k - 1 takes its first step
+            np.multiply(x, math.sqrt(2.0 * k + d - 1.0), out=prev[k - 1 - lo])
+            prev[k - 1 - lo] *= sect
+        if k:
+            sect *= s
+            sect *= math.sqrt(_harmonic_dim(k, d - 1) / _harmonic_dim(k - 1, d - 1) * (k + lam) / (k + lam - 0.5))
+        if lo <= k < hi:
+            prev[k - lo] = sect
+        prev, curr = curr, prev
+        if k >= lo:
+            yield curr[: min(k + 1, hi) - lo]
+
+
+def _associated_table(ell: int, d: int, x: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """V^(d)_(ell,j) of ``_associated_rows`` for j = 0..ell at the cosines x (sines s,
+    sqrt(1 - x^2) by default), shape (ell + 1, len(x)); sum_j V^2 = dim_d(ell) pointwise.
+
+    Orders go in groups of _TABLE_DOUBLES // (3 * len(x)), so that a group's row buffers
+    stay in cache, and the table keeps each group's last degree: about ell Python steps per
+    group where an order-by-order loop makes ell^2 / 2.  Each value sees the same
+    operations in the same order as in that loop, so the table has the same bits.
+    """
+    if s is None:
+        s = np.sqrt(np.clip(1.0 - x * x, 0.0, 1.0))
+    out = np.empty((ell + 1, len(x)))
+    group = max(1, _TABLE_DOUBLES // (3 * len(x)))
+    for lo in range(0, ell + 1, group):
+        for rows in _associated_rows(ell, d, x, s, lo, lo + group):
+            pass
+        out[lo : lo + group] = rows
     return out
 
 
@@ -265,7 +274,7 @@ def _draw_rings(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
         north = grid.cos_colat[len(grid.cos_colat) // 2 :]
         norm = 2.0 * ell + 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # a table that overflows is refused below
-            table = _legendre_table(ell, north)
+            table = _associated_table(ell, 2, north)
             off = np.abs(np.sum(table**2, axis=0) - norm)
         if not np.all(off <= 1e-9 * norm):  # nan fails too
             raise ValueError(f"Legendre table breaks its sum rule at ell={ell}, res={len(grid.cos_colat)}")
@@ -313,20 +322,6 @@ def _harmonic_dim(ell: int, d: int) -> int:
     return math.comb(ell + d, d) - (math.comb(ell + d - 2, d) if ell >= 2 else 0)
 
 
-def _zonal_norm(ell: int, d: int, k: int) -> float:
-    """c_(ell,k) of W_(ell,k) = c_(ell,k) sin^k(chi) G^(d+2k)_(ell-k)(cos chi), from
-    c^2 = mu_d dim_(d-1)(k) C^(k+lam)_(ell-k)(1)^2 / (mu_(d-1) dim_d(ell) h^(k+lam)_(ell-k)),
-    lam = (d - 1)/2, h the Gegenbauer norm (DLMF 18.3), in lgamma form."""
-    a, n = k + 0.5 * (d - 1), ell - k
-    log_c2 = (
-        math.log(sphere_measure(d) / sphere_measure(d - 1))
-        + math.log(_harmonic_dim(k, d - 1)) - math.log(_harmonic_dim(ell, d))
-        + math.lgamma(n + 2.0 * a) - math.lgamma(n + 1.0) + math.log(n + a)
-        + 2.0 * math.lgamma(a) - 2.0 * math.lgamma(2.0 * a) - math.log(math.pi) + (2.0 * a - 1.0) * math.log(2.0)
-    )
-    return math.exp(0.5 * log_c2)
-
-
 def _polar_chart(nodes: np.ndarray, ell: int):
     """Hyperspherical coordinates of the unit vectors ``nodes`` (N, d + 1): row i of
     ``cos`` and ``sin`` is the cosine and sine of the i-th polar angle,
@@ -339,72 +334,86 @@ def _polar_chart(nodes: np.ndarray, ell: int):
     tail = np.sqrt(np.cumsum(x[::-1] ** 2, axis=0))[::-1]
     norm = np.where(tail > 0.0, tail, 1.0)[: d - 1]
     cos, sin = x[: d - 1] / norm, tail[1:d] / norm
-    j_phi = np.arange(1, ell + 1)[:, None] * np.arctan2(x[d], x[d - 1])
+    turn = np.exp(1j * np.arctan2(x[d], x[d - 1]))
+    e_j = np.cumprod(np.broadcast_to(turn, (ell, len(nodes))), axis=0)  # e^(i j phi), off by <= j eps
     trig = np.empty((2 * ell + 1, len(nodes)))
     trig[0] = 1.0
-    trig[1::2], trig[2::2] = np.cos(j_phi), np.sin(j_phi)
+    trig[1::2], trig[2::2] = e_j.real, e_j.imag
     return cos, sin, trig
 
 
 def _rows_by_degree(top: int, cos: np.ndarray, sin: np.ndarray, trig: np.ndarray):
     """Yield the harmonic rows of degree k = 0..top on S^(len(cos) + 1), in order of k,
     as a list of (rows of S^1, weight) pairs whose products, stacked, are those rows:
-    for j = 0..k, W_(k,j) of the first polar angle times the pairs of degree j one
-    dimension down, which are kept.  Each order j keeps one live ``gegenbauer_rows``
-    recurrence that steps once per degree: O(k N) kernel steps for degree k, where
-    one ``gegenbauer_eval_many`` per (k, j) would take O(k^2 N)."""
+    for j = 0..k, W_(k,j) = V_(k,j) / sqrt(dim_d(k)) of the first polar angle times the
+    pairs of degree j one dimension down, which are kept.  One ``_associated_rows``
+    stream steps every order once per degree: O(k N) steps for degree k.  Every yielded
+    weight is fresh (an array, or 1.0 on S^1), so the caller may scale it in place."""
     if not len(cos):  # S^1
         yield [(trig[:1], 1.0)]
         for k in range(1, top + 1):
             yield [(trig[2 * k - 1 : 2 * k + 1], 1.0)]
         return
     d = len(cos) + 1
-    inner, kernels, powers = [], [], []
-    for k, pairs in enumerate(_rows_by_degree(top, cos[1:], sin[1:], trig)):
+    inner = []
+    stream = _associated_rows(top, d, cos[0], sin[0])
+    for k, (pairs, v) in enumerate(zip(_rows_by_degree(top, cos[1:], sin[1:], trig), stream, strict=True)):
         inner.append(pairs)
-        kernels.append(gegenbauer_rows(d + 2 * k, cos[0]))
-        powers.append(sin[0] ** k)
-        out = []
-        for j in range(k + 1):
-            w = next(kernels[j]) * powers[j]  # G^(d+2j)_(k-j) sin^j
-            w *= _zonal_norm(k, d, j)
-            out.extend((rows, v * w) for rows, v in inner[j])
-        yield out
+        w = v * (1.0 / math.sqrt(_harmonic_dim(k, d)))  # W_(k,j), fresh: the stream's rows move on
+        # on S^2 each order has one S^1 pair, of weight 1, so w[j] is its weight
+        yield [(rows, w[j] if d == 2 else u * w[j]) for j in range(k + 1) for rows, u in inner[j]]
 
 
 def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
     """Cached harmonic factor Y of a node set, shape (dim_d(ell), N): real harmonics
     of degree ell scaled so that Y^T Y is the kernel [G(<x_i, x_j>)] to rounding, with
     unit columns (the addition theorem, DLMF 18.18(ii)).  Block k = 0..ell of Y is
-    W_(ell,k)(x_0) times the rows of degree k on S^(d-1) at the remaining coordinates
-    over sin(chi), down to S^1.  Peak: Y plus O(ell N) doubles at d = 3 (at d >= 4,
-    plus the kept pairs of ``_rows_by_degree``).
+    W_(ell,k) = V^(d)_(ell,k) / sqrt(dim_d(ell)) of x_0 (``_associated_table``) times the
+    rows of degree k on S^(d-1) at the remaining coordinates over sin(chi), down to S^1
+    (``_rows_by_degree``).  Peak: Y plus O(ell N) doubles at d = 3 (at d >= 4, plus the
+    kept pairs of ``_rows_by_degree``).
 
     Refused before anything is allocated: over DENSE_NODE_BUDGET nodes
     (GridTooLargeError), and with fewer nodes than dim_d(ell) (ValueError), where no
-    positive-weight rule on the nodes is exact at degree 2 ell, so h_2 is biased."""
+    positive-weight rule on the nodes is exact at degree 2 ell, so h_2 is biased.  A
+    built Y whose Y^T Y is over 1e-10 off ``gegenbauer_eval_many`` on 64 fixed node
+    pairs (16 of them i = j) is refused too (ValueError) and not cached.
+
+    The grid keeps at most N^2 doubles of factors, the largest one it admits: the least
+    recently used are dropped before a build that would pass that."""
+    cache = grid._cache  # a node set caches its factors only, least recently used first
     key = ("factor", ell)
-    if key not in grid._cache:
-        d, n = grid.d, grid.size
-        if n > DENSE_NODE_BUDGET:
-            raise GridTooLargeError(f"{n} nodes exceeds the node-set budget {DENSE_NODE_BUDGET}")
-        dim = _harmonic_dim(ell, d)
-        if dim > n:
-            raise ValueError(
-                f"degree {ell} on S^{d} needs at least {dim} nodes (its harmonic dimension), the grid has {n}"
-            )
-        cos, sin, trig = _polar_chart(grid.nodes, ell)
-        factor = np.empty((dim, n))
-        r = 0
-        for k, pairs in enumerate(_rows_by_degree(ell, cos[1:], sin[1:], trig)):
-            w = gegenbauer_eval_many(ell - k, d + 2 * k, cos[0])
-            w *= sin[0] ** k
-            w *= _zonal_norm(ell, d, k)
-            for rows, v in pairs:
-                np.multiply(rows, v * w, out=factor[r : r + len(rows)])
-                r += len(rows)
-        grid._cache[key] = factor
-    return grid._cache[key]
+    if key in cache:
+        cache[key] = cache.pop(key)
+        return cache[key]
+    d, n = grid.d, grid.size
+    if n > DENSE_NODE_BUDGET:
+        raise GridTooLargeError(f"{n} nodes exceeds the node-set budget {DENSE_NODE_BUDGET}")
+    dim = _harmonic_dim(ell, d)
+    if dim > n:
+        raise ValueError(
+            f"degree {ell} on S^{d} needs at least {dim} nodes (its harmonic dimension), the grid has {n}"
+        )
+    while cache and sum(f.size for f in cache.values()) + dim * n > n * n:
+        del cache[next(iter(cache))]
+    cos, sin, trig = _polar_chart(grid.nodes, ell)
+    top = _associated_table(ell, d, cos[0], sin[0])
+    top /= math.sqrt(dim)
+    factor = np.empty((dim, n))
+    r = 0
+    for k, pairs in enumerate(_rows_by_degree(ell, cos[1:], sin[1:], trig)):
+        for rows, v in pairs:  # a yielded weight is no one else's: scale it in place
+            v *= top[k]
+            np.multiply(rows, v, out=factor[r : r + len(rows)])
+            r += len(rows)
+    i = np.arange(64) * n // 64
+    j = np.where(np.arange(64) % 4, i[::-1], i)  # every fourth pair on the diagonal
+    kernel = gegenbauer_eval_many(ell, d, np.einsum("ik,ik->i", grid.nodes[i], grid.nodes[j]))
+    off = np.max(np.abs(np.einsum("ri,ri->i", factor[:, i], factor[:, j]) - kernel))
+    if not off <= 1e-10:  # nan fails too
+        raise ValueError(f"harmonic factor at ell={ell} on S^{d} is {off:.3g} off its kernel")
+    cache[key] = factor
+    return factor
 
 
 def _draw_dense(ell: int, grid: SphereGrid, seed: int) -> FieldSample:

@@ -4,9 +4,10 @@ Everything downstream (moment integrals, covariance kernels, chaos
 coefficients) funnels through this module, so the routines here are kept
 dependency-free (numpy only) and are cross-checked in the test suite
 against closed forms and scipy.  One three-term recurrence, of the
-Gegenbauer kernel normalised to 1 at t = 1, serves the kernel, the
-Gauss-Legendre rule (the d = 2 kernel is P_n) and, degree by degree
-(``gegenbauer_rows``), the harmonic factor of a node set.
+Gegenbauer kernel normalised to 1 at t = 1, serves the kernel and the
+Gauss-Legendre rule (the d = 2 kernel is P_n).  The associated functions
+sin^j G^(d+2j) behind the harmonics of S^d have their own degree-major
+recurrence in ``field``.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "gauss_legendre",
     "gegenbauer_eval_many",
-    "gegenbauer_rows",
     "hermite_eval",
     "bessel_j",
     "gauss_pdf_cdf",
@@ -51,39 +51,26 @@ def sphere_measure(d: int) -> float:
     return 2.0 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
 
 
-def gegenbauer_rows(d: int, t: np.ndarray):
-    """Yield G_0(t), G_1(t), G_2(t), ... without end: the kernel on S^d
-    normalised to G(1) = 1, by G_k = a_k t G_(k-1) - (a_k - 1) G_(k-2) with
-    a_k = (2k + d - 3)/(k + d - 2), on three rows updated in place.  A yielded
-    row stays valid until the row after next is computed; ``t`` is not written.
+def _gegenbauer_last_two(n: int, d: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G_(n-1)(t) and G_n(t) (G_(-1) = 0) of the kernel on S^d normalised to
+    G(1) = 1, by G_k = a_k t G_(k-1) - (a_k - 1) G_(k-2) with
+    a_k = (2k + d - 3)/(k + d - 2), on three rows updated in place; ``t`` is not
+    written.
 
     a_k lies in [1, 2), so a_k - 1 is exact and G_k(1) = 1 exactly; |G| <= 1
     keeps every step in range, with no rescaling.  At d = 2 this is Bonnet's
     recurrence for the Legendre P_n.
     """
+    if n == 0:
+        return np.zeros_like(t), np.ones_like(t)
     g_prev, g, g_next = np.ones_like(t), t.copy(), np.empty_like(t)
-    yield g_prev
-    yield g
-    k = 2
-    while True:
+    for k in range(2, n + 1):
         a = (2.0 * k + d - 3.0) / (k + d - 2.0)
         np.multiply(t, g, out=g_next)
         g_next *= a
         g_prev *= a - 1.0
         g_next -= g_prev  # = a t G_(k-1) - (a - 1) G_(k-2)
         g_prev, g, g_next = g, g_next, g_prev
-        yield g
-        k += 1
-
-
-def _gegenbauer_last_two(n: int, d: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G_(n-1)(t) and G_n(t) of ``gegenbauer_rows`` (G_(-1) = 0)."""
-    if n == 0:
-        return np.zeros_like(t), np.ones_like(t)
-    rows = gegenbauer_rows(d, t)
-    g = next(rows)
-    for _ in range(n):
-        g_prev, g = g, next(rows)
     return g_prev, g
 
 

@@ -12,7 +12,7 @@ from eigensphere.field import (
     SphereGrid,
     _dense_factor,
     _harmonic_dim,
-    _legendre_table,
+    _associated_table,
     _rng_for,
     build_grid,
     dump_field,
@@ -20,7 +20,7 @@ from eigensphere.field import (
     replicate_seed,
     simulate,
 )
-from eigensphere.specfun import gegenbauer_eval_many
+from eigensphere.specfun import gegenbauer_eval_many, sphere_measure
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +153,7 @@ def test_legendre_table_matches_order_major_loop(ell, res):
     x_gl = build_grid(2, res).cos_colat
     x_any = np.concatenate([np.cos(np.linspace(0.01, 3.1, res)), [1.0, -1.0, 0.0]])
     for x in (x_gl, x_any):
-        assert np.array_equal(_legendre_table(ell, x), _order_major_table(ell, x))
+        assert np.array_equal(_associated_table(ell, 2, x), _order_major_table(ell, x))
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -163,16 +163,48 @@ def test_legendre_table_order_groups(monkeypatch, rows):
     x = build_grid(2, 65).cos_colat
     monkeypatch.setattr(field, "_TABLE_DOUBLES", 3 * len(x) * rows)
     for ell in (2, 3, 33):
-        assert np.array_equal(_legendre_table(ell, x), _order_major_table(ell, x))
+        assert np.array_equal(_associated_table(ell, 2, x), _order_major_table(ell, x))
 
 
 def test_legendre_table_addition_theorem():
     x = np.linspace(-0.95, 0.95, 9)
     for ell in (1, 2, 5, 40, 128):
-        table = _legendre_table(ell, x)
+        table = _associated_table(ell, 2, x)
         np.testing.assert_allclose(
             np.sum(table**2, axis=0), 2.0 * ell + 1.0, rtol=1e-11
         )
+
+
+def _zonal_reference(ell, d, j, x):
+    """W_(ell,j) = c sin^j G^(d+2j)_(ell-j)(x), the normalised associated function of
+    S^d, from c^2 = mu_d dim_(d-1)(j) C^(j+lam)_(ell-j)(1)^2 / (mu_(d-1) dim_d(ell)
+    h^(j+lam)_(ell-j)), lam = (d - 1)/2, h the Gegenbauer norm (DLMF 18.3), in lgamma
+    form: the reference for the degree recurrence of field._associated_rows."""
+    a, n = j + 0.5 * (d - 1), ell - j
+    log_c2 = (
+        math.log(sphere_measure(d) / sphere_measure(d - 1))
+        + math.log(_harmonic_dim(j, d - 1)) - math.log(_harmonic_dim(ell, d))
+        + math.lgamma(n + 2.0 * a) - math.lgamma(n + 1.0) + math.log(n + a)
+        + 2.0 * math.lgamma(a) - 2.0 * math.lgamma(2.0 * a) - math.log(math.pi) + (2.0 * a - 1.0) * math.log(2.0)
+    )
+    s = np.sqrt((1.0 - x) * (1.0 + x))
+    return math.exp(0.5 * log_c2) * s**j * gegenbauer_eval_many(n, d + 2 * j, x)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_associated_rows_match_lgamma_normalisation(d):
+    # the generic table against c sin^j G^(d+2j) (poles and equator included), its
+    # sum rule sum_j V^2 = dim_d(ell), and the stream yields the table at every degree
+    theta = np.concatenate([np.linspace(0.0, math.pi, 61), [1e-3, math.pi - 1e-3]])
+    x, s = np.cos(theta), np.sin(theta)
+    stream = field._associated_rows(40, d, x, s)
+    for ell in range(41):
+        table = _associated_table(ell, d, x, s)
+        assert np.array_equal(next(stream), table)
+        dim = _harmonic_dim(ell, d)
+        ref = np.array([_zonal_reference(ell, d, j, x) for j in range(ell + 1)])
+        assert np.max(np.abs(table / math.sqrt(dim) - ref)) <= 1e-12, ell
+        np.testing.assert_allclose(np.sum(table**2, axis=0), dim, rtol=1e-12, atol=0)
 
 
 def test_draw_refuses_table_off_its_sum_rule():
@@ -192,7 +224,7 @@ def _direct_rows(ell, grid):
     Legendre table times cos/sin of m phi, in the coefficient order of
     the ring route of simulate (g[0], then the cos/sin pair of each order m)."""
     phi = _s2_coordinates(grid)[0]
-    a = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
+    a = _associated_table(ell, 2, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
     mphi = np.arange(1, ell + 1)[:, None] * phi[None, :]
     rows = np.empty((2 * ell + 1, len(grid.cos_colat), len(phi)))
     rows[0] = a[0][:, None]
@@ -314,7 +346,7 @@ def test_spectral_purity(grid64):
     v = s.values.reshape(-1, m_count)
     w_theta = np.polynomial.legendre.leggauss(len(grid64.cos_colat))[1]
     for k in (6, 11):
-        table = _legendre_table(k, grid64.cos_colat)
+        table = _associated_table(k, 2, grid64.cos_colat)
         for m in (0, 3):
             basis = table[m][:, None] * np.cos(m * phi)[None, :]
             inner = np.sum(w_theta[:, None] * (2 * math.pi / m_count) * v * basis)
@@ -341,7 +373,7 @@ def test_dense_factor_diagonal():
 
 def _kernel_extended(ell, d, nodes):
     """The kernel on the Gram matrix in long double, by the recurrence of
-    specfun.gegenbauer_rows: in double, rounding the Gram alone moves G by up to
+    specfun.gegenbauer_eval_many: in double, rounding the Gram alone moves G by up to
     eps * G'(1) = eps * ell (ell + d - 1) / d, 1.1e-12 at ell = 143 on S^2."""
     x = nodes.astype(np.longdouble)
     x /= np.sqrt(np.sum(x * x, axis=1))[:, None]
@@ -401,6 +433,41 @@ def test_dense_factor_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n * (_harmonic_dim(ell, 3) + 10 * (ell + 1)), peak / (8 * n)
+
+
+def test_dense_factor_off_its_kernel_is_refused(monkeypatch):
+    # one order of the top-level table scaled by 1.001: Y^T Y leaves the kernel on
+    # the fixed node pairs, so the factor is refused and not cached
+    grid = build_grid(3, 12)
+
+    def corrupted(*args):
+        table = _associated_table(*args)
+        table[3] *= 1.001
+        return table
+
+    monkeypatch.setattr(field, "_associated_table", corrupted)
+    with pytest.raises(ValueError, match="off its kernel"):
+        _dense_factor(grid, 8)
+    assert ("factor", 8) not in grid._cache
+
+
+def test_dense_factor_cache_is_bounded():
+    # at most N^2 doubles of factors per node set: 12 and 20 fit together (169 N +
+    # 441 N of 900 N), 25 (676 N) does not, so the least recently used, 20, goes
+    grid = build_grid(3, 30)
+    n = grid.size
+    tracemalloc.start()
+    try:
+        first = _dense_factor(grid, 12)
+        _dense_factor(grid, 20)
+        assert _dense_factor(grid, 12) is first  # a hit, and now the most recent
+        _dense_factor(grid, 25)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(grid._cache) == [("factor", 12), ("factor", 25)]
+    assert current <= 8 * n * n + 2**16, current / (8 * n)
+    assert peak <= 8 * n * (n + 10 * 26), peak / (8 * n)
 
 
 def test_dense_factor_refuses_degree_past_node_count():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensphere import field
-from eigensphere.field import _legendre_table, build_grid, replicate_seed, simulate
+from eigensphere.field import _associated_table, build_grid, replicate_seed, simulate
 from eigensphere.functionals import (
     defect,
     excursion_volume,
@@ -184,7 +184,7 @@ def full_sphere_integral(sample, f):
     ring, each ring's weight times the sum of f over its 2*res nodes."""
     grid, ell = sample.grid, sample.ell
     res, k = len(grid.cos_colat), ell // len(grid.cos_colat) + 1
-    table = _legendre_table(ell, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
+    table = _associated_table(ell, 2, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
     total = 0.0
     for i in range(res):
         ring = np.fft.irfft(table[:, i] * sample.coef, n=2 * k * res)[::k]

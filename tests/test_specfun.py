@@ -15,7 +15,6 @@ from eigensphere.specfun import (
     gauss_legendre,
     gauss_pdf_cdf,
     gegenbauer_eval_many,
-    gegenbauer_rows,
     hermite_eval,
     sphere_measure,
 )
@@ -57,20 +56,6 @@ def test_in_place_recurrence_is_byte_identical(ell, d):
     got, ref = _gegenbauer_last_two(ell, d, t), _gegenbauer_out_of_place(ell, d, t)
     assert all(np.array_equal(a, b) for a, b in zip(got, ref, strict=True))
     assert np.array_equal(t, before)
-
-
-@pytest.mark.parametrize("d", [2, 3, 7])
-def test_rows_are_every_degree_of_the_recurrence(d):
-    # each yielded row has the bits of gegenbauer_eval_many at its degree, and
-    # stays valid until the row after next is computed
-    t = np.linspace(-1.0, 1.0, 101)
-    rows = gegenbauer_rows(d, t)
-    prev = next(rows)
-    for ell in range(1, 40):
-        row = next(rows)
-        assert np.array_equal(row, gegenbauer_eval_many(ell, d, t))
-        assert np.array_equal(prev, gegenbauer_eval_many(ell - 1, d, t))
-        prev = row
 
 
 def test_pinned_values():

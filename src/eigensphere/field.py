@@ -229,23 +229,24 @@ def _associated_rows(top: int, d: int, x: np.ndarray, s: np.ndarray, lo: int = 0
             yield curr[: min(k + 1, hi) - lo]
 
 
-def _associated_table(ell: int, d: int, x: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """V^(d)_(ell,j) of ``_associated_rows`` for j = 0..ell at the cosines x (sines s,
-    sqrt(1 - x^2) by default), shape (ell + 1, len(x)); sum_j V^2 = dim_d(ell) pointwise.
-
-    Orders go in groups of _TABLE_DOUBLES // (3 * len(x)), so that a group's row buffers
-    stay in cache, and the table keeps each group's last degree: about ell Python steps per
-    group where an order-by-order loop makes ell^2 / 2.  Each value sees the same
-    operations in the same order as in that loop, so the table has the same bits.
-    """
-    if s is None:
-        s = np.sqrt(np.clip(1.0 - x * x, 0.0, 1.0))
-    out = np.empty((ell + 1, len(x)))
+def _associated_last(ell: int, d: int, x: np.ndarray, s: np.ndarray):
+    """Yield V^(d)_(ell,j) of ``_associated_rows`` for j = 0..ell, one row at a time, from
+    groups of _TABLE_DOUBLES // (3 * len(x)) orders, whose row buffers stay in cache: about
+    ell Python steps per group where an order-by-order loop makes ell^2 / 2, and the same
+    operations per value in the same order as that loop, so the same bits."""
     group = max(1, _TABLE_DOUBLES // (3 * len(x)))
     for lo in range(0, ell + 1, group):
         for rows in _associated_rows(ell, d, x, s, lo, lo + group):
             pass
-        out[lo : lo + group] = rows
+        yield from rows
+
+
+def _associated_table(ell: int, d: int, x: np.ndarray) -> np.ndarray:
+    """The rows of ``_associated_last`` at the cosines x (sines sqrt(1 - x^2)), shape
+    (ell + 1, len(x)); sum_j V^2 = dim_d(ell) pointwise."""
+    out = np.empty((ell + 1, len(x)))
+    for j, row in enumerate(_associated_last(ell, d, x, np.sqrt(np.clip(1.0 - x * x, 0.0, 1.0)))):
+        out[j] = row
     return out
 
 
@@ -368,7 +369,7 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
     """Cached harmonic factor Y of a node set, shape (dim_d(ell), N): real harmonics
     of degree ell scaled so that Y^T Y is the kernel [G(<x_i, x_j>)] to rounding, with
     unit columns (the addition theorem, DLMF 18.18(ii)).  Block k = 0..ell of Y is
-    W_(ell,k) = V^(d)_(ell,k) / sqrt(dim_d(ell)) of x_0 (``_associated_table``) times the
+    W_(ell,k) = V^(d)_(ell,k) / sqrt(dim_d(ell)) of x_0 (``_associated_last``) times the
     rows of degree k on S^(d-1) at the remaining coordinates over sin(chi), down to S^1
     (``_rows_by_degree``).  Peak: Y plus O(ell N) doubles at d = 3 (at d >= 4, plus the
     kept pairs of ``_rows_by_degree``).
@@ -397,13 +398,13 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
     while cache and sum(f.size for f in cache.values()) + dim * n > n * n:
         del cache[next(iter(cache))]
     cos, sin, trig = _polar_chart(grid.nodes, ell)
-    top = _associated_table(ell, d, cos[0], sin[0])
-    top /= math.sqrt(dim)
+    top = _associated_last(ell, d, cos[0], sin[0])
     factor = np.empty((dim, n))
     r = 0
-    for k, pairs in enumerate(_rows_by_degree(ell, cos[1:], sin[1:], trig)):
+    for pairs, v_top in zip(_rows_by_degree(ell, cos[1:], sin[1:], trig), top, strict=True):
+        w = v_top * (1.0 / math.sqrt(dim))  # W_(ell,k)
         for rows, v in pairs:  # a yielded weight is no one else's: scale it in place
-            v *= top[k]
+            v *= w
             np.multiply(rows, v, out=factor[r : r + len(rows)])
             r += len(rows)
     i = np.arange(64) * n // 64

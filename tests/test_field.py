@@ -199,7 +199,7 @@ def test_associated_rows_match_lgamma_normalisation(d):
     x, s = np.cos(theta), np.sin(theta)
     stream = field._associated_rows(40, d, x, s)
     for ell in range(41):
-        table = _associated_table(ell, d, x, s)
+        table = np.array(list(field._associated_last(ell, d, x, s)))
         assert np.array_equal(next(stream), table)
         dim = _harmonic_dim(ell, d)
         ref = np.array([_zonal_reference(ell, d, j, x) for j in range(ell + 1)])
@@ -436,16 +436,16 @@ def test_dense_factor_peak_memory():
 
 
 def test_dense_factor_off_its_kernel_is_refused(monkeypatch):
-    # one order of the top-level table scaled by 1.001: Y^T Y leaves the kernel on
+    # one order of the top-level rows scaled by 1.001: Y^T Y leaves the kernel on
     # the fixed node pairs, so the factor is refused and not cached
     grid = build_grid(3, 12)
+    rows = field._associated_last
 
     def corrupted(*args):
-        table = _associated_table(*args)
-        table[3] *= 1.001
-        return table
+        for j, row in enumerate(rows(*args)):
+            yield row * 1.001 if j == 3 else row
 
-    monkeypatch.setattr(field, "_associated_table", corrupted)
+    monkeypatch.setattr(field, "_associated_last", corrupted)
     with pytest.raises(ValueError, match="off its kernel"):
         _dense_factor(grid, 8)
     assert ("factor", 8) not in grid._cache

@@ -344,25 +344,25 @@ def _polar_chart(nodes: np.ndarray, ell: int):
 
 
 def _rows_by_degree(top: int, cos: np.ndarray, sin: np.ndarray, trig: np.ndarray):
-    """Yield the harmonic rows of degree k = 0..top on S^(len(cos) + 1), in order of k,
-    as a list of (rows of S^1, weight) pairs whose products, stacked, are those rows:
-    for j = 0..k, W_(k,j) = V_(k,j) / sqrt(dim_d(k)) of the first polar angle times the
-    pairs of degree j one dimension down, which are kept.  One ``_associated_rows``
-    stream steps every order once per degree: O(k N) steps for degree k.  Every yielded
-    weight is fresh (an array, or 1.0 on S^1), so the caller may scale it in place."""
+    """Yield, for k = 0..top, the harmonic rows of degree k on S^(len(cos) + 1) as (pairs, c):
+    (rows of S^1, weight) pairs whose products times c, stacked, are those rows.  For
+    j = 0..k, V_(k,j) of the first polar angle times the pairs of degree j one dimension
+    down, which are kept, and c = 1 / sqrt(dim_d(k)), so that V c is W_(k,j).  One
+    ``_associated_rows`` stream steps every order once per degree: O(k N) steps for
+    degree k.  A weight may be a row of that stream, valid until the next degree."""
     if not len(cos):  # S^1
-        yield [(trig[:1], 1.0)]
+        yield [(trig[:1], 1.0)], 1.0
         for k in range(1, top + 1):
-            yield [(trig[2 * k - 1 : 2 * k + 1], 1.0)]
+            yield [(trig[2 * k - 1 : 2 * k + 1], 1.0)], 1.0
         return
     d = len(cos) + 1
     inner = []
     stream = _associated_rows(top, d, cos[0], sin[0])
-    for k, (pairs, v) in enumerate(zip(_rows_by_degree(top, cos[1:], sin[1:], trig), stream, strict=True)):
-        inner.append(pairs)
-        w = v * (1.0 / math.sqrt(_harmonic_dim(k, d)))  # W_(k,j), fresh: the stream's rows move on
-        # on S^2 each order has one S^1 pair, of weight 1, so w[j] is its weight
-        yield [(rows, w[j] if d == 2 else u * w[j]) for j in range(k + 1) for rows, u in inner[j]]
+    for k, ((pairs, c), v) in enumerate(zip(_rows_by_degree(top, cos[1:], sin[1:], trig), stream, strict=True)):
+        inner.append([(rows, u * c) for rows, u in pairs])  # fresh: the stream's rows move on
+        # on S^2 each order has one S^1 pair, of weight 1, so V_(k,j) is its weight
+        pairs = [(rows, v[j] if d == 2 else u * v[j]) for j in range(k + 1) for rows, u in inner[j]]
+        yield pairs, 1.0 / math.sqrt(_harmonic_dim(k, d))
 
 
 def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
@@ -399,13 +399,13 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
         del cache[next(iter(cache))]
     cos, sin, trig = _polar_chart(grid.nodes, ell)
     top = _associated_last(ell, d, cos[0], sin[0])
-    factor = np.empty((dim, n))
+    factor, weight = np.empty((dim, n)), np.empty(n)
     r = 0
-    for pairs, v_top in zip(_rows_by_degree(ell, cos[1:], sin[1:], trig), top, strict=True):
-        w = v_top * (1.0 / math.sqrt(dim))  # W_(ell,k)
-        for rows, v in pairs:  # a yielded weight is no one else's: scale it in place
-            v *= w
-            np.multiply(rows, v, out=factor[r : r + len(rows)])
+    for (pairs, c), v_top in zip(_rows_by_degree(ell, cos[1:], sin[1:], trig), top, strict=True):
+        w = v_top * (c / math.sqrt(dim))  # W_(ell,k) and the normalisation one level down
+        for rows, u in pairs:
+            np.multiply(u, w, out=weight)
+            np.multiply(rows, weight, out=factor[r : r + len(rows)])
             r += len(rows)
     i = np.arange(64) * n // 64
     j = np.where(np.arange(64) % 4, i[::-1], i)  # every fourth pair on the diagonal

@@ -202,15 +202,17 @@ def _associated_rows(top: int, d: int, x: np.ndarray, s: np.ndarray, lo: int = 0
     buffers updated in place.  A yielded array is valid until the next one is asked for.
     """
     hi = top + 1 if hi is None else min(hi, top + 1)
-    lam = 0.5 * (d - 1)
+    dims = np.array([_harmonic_dim(k, d - 1) for k in range(top + 1)], dtype=float)
+    k_lam = np.arange(1, top + 1) + 0.5 * (d - 1)
+    sectoral = np.sqrt(dims[1:] / dims[:-1] * k_lam / (k_lam - 0.5))  # V_(k,k) / (s V_(k-1,k-1))
     prev, curr, scratch = (np.empty((hi - lo, len(x))) for _ in range(3))
     sect = np.ones(len(x))  # V_(k,k), the sectoral chain every order starts from
     for k in range(top + 1):
         j = np.arange(lo, min(k - 1, hi))  # orders that step from degrees k - 1 and k - 2
         if len(j):
-            a = np.sqrt((2.0 * k + d - 3.0) * (2.0 * k + d - 1.0) / ((k - j) * (k + j + d - 2)))
-            b = np.sqrt((2.0 * k + d - 1.0) * (k + j + d - 3.0) * (k - j - 1.0)
-                        / ((k - j) * (k + j + d - 2) * (2.0 * k + d - 5.0)))
+            kj = (k - j) * (k + j + d - 2)
+            a = np.sqrt((2.0 * k + d - 3.0) * (2.0 * k + d - 1.0) / kj)
+            b = np.sqrt((2.0 * k + d - 1.0) * (k + j + d - 3.0) * (k - j - 1.0) / (kj * (2.0 * k + d - 5.0)))
             m = len(j)
             step = np.multiply(a[:, None], x, out=scratch[:m])
             step *= curr[:m]
@@ -221,7 +223,7 @@ def _associated_rows(top: int, d: int, x: np.ndarray, s: np.ndarray, lo: int = 0
             prev[k - 1 - lo] *= sect
         if k:
             sect *= s
-            sect *= math.sqrt(_harmonic_dim(k, d - 1) / _harmonic_dim(k - 1, d - 1) * (k + lam) / (k + lam - 0.5))
+            sect *= sectoral[k - 1]
         if lo <= k < hi:
             prev[k - lo] = sect
         prev, curr = curr, prev

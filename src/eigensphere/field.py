@@ -246,10 +246,8 @@ def _associated_last(ell: int, d: int, x: np.ndarray, s: np.ndarray):
 def _associated_table(ell: int, d: int, x: np.ndarray) -> np.ndarray:
     """The rows of ``_associated_last`` at the cosines x (sines sqrt(1 - x^2)), shape
     (ell + 1, len(x)); sum_j V^2 = dim_d(ell) pointwise."""
-    out = np.empty((ell + 1, len(x)))
-    for j, row in enumerate(_associated_last(ell, d, x, np.sqrt(np.clip(1.0 - x * x, 0.0, 1.0)))):
-        out[j] = row
-    return out
+    rows = _associated_last(ell, d, x, np.sqrt(np.clip(1.0 - x * x, 0.0, 1.0)))
+    return np.fromiter(rows, dtype=(float, len(x)), count=ell + 1)
 
 
 def _draw_rings(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
@@ -338,10 +336,12 @@ def _polar_chart(nodes: np.ndarray, ell: int):
     norm = np.where(tail > 0.0, tail, 1.0)[: d - 1]
     cos, sin = x[: d - 1] / norm, tail[1:d] / norm
     turn = np.exp(1j * np.arctan2(x[d], x[d - 1]))
-    e_j = np.cumprod(np.broadcast_to(turn, (ell, len(nodes))), axis=0)  # e^(i j phi), off by <= j eps
+    e_j = turn.copy()
     trig = np.empty((2 * ell + 1, len(nodes)))
     trig[0] = 1.0
-    trig[1::2], trig[2::2] = e_j.real, e_j.imag
+    for j in range(1, ell + 1):  # e^(i j phi) by repeated turns, off by <= j eps
+        trig[2 * j - 1], trig[2 * j] = e_j.real, e_j.imag
+        e_j *= turn
     return cos, sin, trig
 
 

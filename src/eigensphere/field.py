@@ -1,16 +1,16 @@
 """Sampling of single-multipole Gaussian fields on discretized spheres.
 
-``simulate`` is the one sampler; the grid picks the route.  An S^2 product grid
-(``cos_colat`` set) synthesizes exactly, one inverse real FFT per ring, and stores
-only its ring weights and colatitude cosines; a draw keeps its coefficients and is
-synthesized a cache-sized block of rings at a time, northern rings only: the grid
-is mirrored and f(-x) = (-1)^ell f(x), so a southern ring is its mirror rolled half
-a turn, times (-1)^ell.  A node set (d >= 3, N <= 6000) draws through its exact harmonic
-factor Y (dim_d(ell) x N, Y^T Y the kernel), built by recursion in dimension: a draw is
-one mat-vec, and Y, at most N^2 doubles (200 MB at ell = 64 on 5929 nodes), is its peak;
-the grid keeps at most N^2 doubles of factors.  Both routes take the associated functions
-sin^j G^(d+2j) of S^d from one degree-major recurrence, ``_associated_rows``: the S^2
-Legendre table at d = 2, and the W_(ell,k) of every level of the factor.
+A draw is the same on every grid: ``simulate`` builds (or refuses) the grid's cached basis,
+then draws the dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics.  Only this
+module synthesizes: ``ring_blocks`` a block at a time, with the weights of ``block_weights``,
+and ``FieldSample.values`` whole.  An S^2 product grid (``cos_colat`` set) synthesizes
+exactly, one inverse real FFT per northern ring from its Legendre table: the grid is
+mirrored and f(-x) = (-1)^ell f(x), so a southern ring is its mirror rolled half a turn,
+times (-1)^ell, which the weights fold in.  A node set (d >= 3, N <= 6000) synthesizes
+through its exact harmonic factor Y (dim_d(ell) x N, Y^T Y the kernel), built by recursion in
+dimension: the field is one mat-vec g Y, and Y, at most N^2 doubles (200 MB at ell = 64 on
+5929 nodes), is its peak; the grid keeps at most N^2 doubles of factors.  Both bases take
+sin^j G^(d+2j) of S^d from one degree-major recurrence, ``_associated_rows``.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ __all__ = [
     "simulate",
     "replicate_seed",
     "ring_blocks",
+    "block_weights",
     "dump_field",
     "load_field",
 ]
@@ -48,7 +49,7 @@ class GridTooLargeError(ValueError):
 @dataclass(eq=False)
 class SphereGrid:
     """Quadrature grid on S^d: positive weights whose node total is the surface
-    measure, and what ``simulate`` routes by: ``cos_colat`` and one weight per
+    measure, and what the synthesis routes by: ``cos_colat`` and one weight per
     ring on an S^2 product grid (ring synthesis), ``nodes`` and one weight per
     node on a node set (the harmonic factor)."""
 
@@ -67,23 +68,23 @@ class SphereGrid:
 
 
 class FieldSample:
-    """One realization of the degree-ell field on a grid: its node values on
-    the dense route; on an S^2 product grid its harmonic coefficients ``coef``
-    (one per order, scaled for the ring FFT), which ``ring_blocks`` synthesizes
-    a block of rings at a time and ``values`` in full, only when read."""
+    """One realization of the degree-ell field on a grid, on every grid the same: ``coef``,
+    its dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics (on S^2, g[0] then
+    the cos, sin pair of each order m = 1..ell).  ``ring_blocks`` synthesizes it a block at
+    a time, ``values`` (every node, in node order) whole, only when read."""
 
-    def __init__(self, grid: SphereGrid, ell: int, values=None, coef=None):
+    def __init__(self, grid: SphereGrid, ell: int, coef: np.ndarray):
         self.grid, self.ell, self.coef = grid, ell, coef
-        if values is not None:
-            self.values = values
 
     @cached_property
     def values(self) -> np.ndarray:
+        if self.grid.cos_colat is None:
+            return self.coef @ _basis(self.grid, self.ell)
         res = len(self.grid.cos_colat)
         half = res // 2
         out = np.empty((res, 2 * res))
-        for rings, block in ring_blocks(self):
-            out[rings] = block
+        for rows, block in ring_blocks(self):
+            out[half:][rows] = block
         # southern ring i is northern ring res - 1 - i, half a turn on, times (-1)^ell
         south = np.roll(out[: res - half - 1 : -1], res, axis=1)
         np.multiply(south, -1.0 if self.ell % 2 else 1.0, out=out[:half])
@@ -108,7 +109,7 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
     d = 2: Gauss-Legendre nodes in cos(theta) (``resolution`` of them, from
     ``specfun.gauss_legendre``, kept as ``cos_colat``) crossed with the
     2*resolution longitudes 2*pi*j/(2*resolution), which no grid stores
-    (``simulate`` synthesizes each ring by an FFT of that length); the ring
+    (``ring_blocks`` synthesizes each ring by an FFT of that length); the ring
     weights are the GL weights times 2*pi/(2*resolution).  Exact for spherical
     polynomials of degree <= 2*resolution - 1.  The rule costs O(res^2) flops
     and O(res) memory, and the grid keeps O(res) numbers.  Over S2_NODE_BUDGET
@@ -250,44 +251,6 @@ def _associated_table(ell: int, d: int, x: np.ndarray) -> np.ndarray:
     return np.fromiter(rows, dtype=(float, len(x)), count=ell + 1)
 
 
-def _draw_rings(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
-    """Exact harmonic synthesis of the degree-ell field on a product grid.
-
-    Draws 2*ell + 1 independent N(0,1) coefficients on the real
-    orthonormal harmonic basis (equal in law to the complex-coefficient
-    convention with a_{l,-m} = (-1)^m conj(a_{lm})); by the addition
-    theorem the node covariance is exactly the degree-ell Legendre
-    polynomial of the cosine of geodesic distance, and pointwise variance
-    is exactly 1.
-
-    The sample keeps the coefficients: ``ring_blocks`` makes each northern ring
-    of ``build_grid(2, res)`` (cos_colat >= 0) one inverse real FFT of length
-    2*res over the orders m = 0..ell (for ell >= res, the ring's Nyquist order, a
-    k-fold finer ring keeping every k-th sample).  The southern rings are never
-    synthesized: the cosines are mirrored, P_ell^m(-x) = (-1)^(ell+m) P_ell^m(x),
-    and half a turn multiplies order m by (-1)^m, so the ring at -x is the ring
-    at x rolled by res samples, times (-1)^ell.  The cached Legendre table holds
-    (ell + 1) * ceil(res / 2) doubles; off its sum rule by 1e-9 on a ring (from
-    ell ~ 2000, where subnormal sectoral starts lose bits), it raises ValueError.
-    """
-    key = ("legendre", ell)
-    if key not in grid._cache:  # ring-major: one row of orders per northern colatitude
-        north = grid.cos_colat[len(grid.cos_colat) // 2 :]
-        norm = 2.0 * ell + 1.0
-        with np.errstate(over="ignore", invalid="ignore"):  # a table that overflows is refused below
-            table = _associated_table(ell, 2, north)
-            off = np.abs(np.sum(table**2, axis=0) - norm)
-        if not np.all(off <= 1e-9 * norm):  # nan fails too
-            raise ValueError(f"Legendre table breaks its sum rule at ell={ell}, res={len(grid.cos_colat)}")
-        grid._cache[key] = np.ascontiguousarray((table / math.sqrt(norm)).T)
-    n = 2 * (ell // len(grid.cos_colat) + 1) * len(grid.cos_colat)
-    g = _rng_for(seed).standard_normal(2 * ell + 1)
-    coef = np.empty(ell + 1, dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
-    coef[0] = n * g[0]
-    coef[1:] = (0.5 * n) * (g[1::2] - 1j * g[2::2])
-    return FieldSample(grid, ell, coef=coef)
-
-
 _SCRATCH: dict[str, np.ndarray] = {}
 
 
@@ -301,21 +264,46 @@ def scratch(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
 
 
 def ring_blocks(sample: FieldSample):
-    """Yield (ring slice, values) over the northern rings of an S^2 product-grid
-    sample, the equator of an odd res first, in blocks of about _BLOCK_DOUBLES:
-    irfft(table[rings] * coef) in scratch, valid until the next block.  The
-    slices index the grid's rings, res // 2 to res - 1."""
-    table = sample.grid._cache[("legendre", sample.ell)]
-    res = len(sample.grid.cos_colat)
-    first, k = res - len(table), sample.ell // res + 1
-    rows = max(1, min(len(table), _BLOCK_DOUBLES // (2 * k * res)))
-    spectra = scratch("spectra", (rows, sample.ell + 1), complex)
-    rings = scratch("rings", (rows, 2 * k * res))
-    for r0 in range(0, len(table), rows):
-        n = min(rows, len(table) - r0)
-        np.multiply(table[r0 : r0 + n], sample.coef, out=spectra[:n])
-        np.fft.irfft(spectra[:n], n=2 * k * res, out=rings[:n])
-        yield slice(first + r0, first + r0 + n), rings[:n, ::k]
+    """Yield (rows, values) blocks that make the field, each valid until the next: ``rows``
+    slices the weights of ``block_weights``, values[i] holds the nodes of row i.  A node set
+    is one block, g Y as a column (row i is node i).  An S^2 grid yields its northern rings
+    (row i is ring res // 2 + i) in blocks of about _BLOCK_DOUBLES: irfft(table[rings] *
+    spectrum) in scratch, of length n = 2 k res, k = ell // res + 1 (for ell >= res, a
+    k-fold finer ring keeps every k-th sample)."""
+    basis = _basis(sample.grid, sample.ell)
+    if sample.grid.cos_colat is None:
+        yield slice(0, basis.shape[1]), (sample.coef @ basis)[:, None]
+        return
+    g, ell, res = sample.coef, sample.ell, len(sample.grid.cos_colat)
+    k = ell // res + 1
+    n = 2 * k * res
+    spectrum = np.empty(ell + 1, dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
+    spectrum[0] = n * g[0]
+    spectrum[1:] = (0.5 * n) * (g[1::2] - 1j * g[2::2])
+    rows = max(1, min(len(basis), _BLOCK_DOUBLES // n))
+    spectra = scratch("spectra", (rows, ell + 1), complex)
+    rings = scratch("rings", (rows, n))
+    for r0 in range(0, len(basis), rows):
+        m = min(rows, len(basis) - r0)
+        np.multiply(basis[r0 : r0 + m], spectrum, out=spectra[:m])
+        np.fft.irfft(spectra[:m], n=n, out=rings[:m])
+        yield slice(r0, r0 + m), rings[:m, ::k]
+
+
+def block_weights(sample: FieldSample) -> tuple[np.ndarray, bool]:
+    """Quadrature weights of the rows of ``ring_blocks``, and whether each row also stands
+    for its mirror -v.  A node set: its node weights.  On S^2 a northern ring stands for its
+    southern mirror too, its values rolled half a turn (same sum) times (-1)^ell: twice its
+    weight at even ell; at odd ell its weight and the f(-v) sums, so an odd f integrates to
+    exactly 0.  The equator of an odd res is its own mirror: half that."""
+    w = sample.grid.weights
+    if sample.grid.cos_colat is None:
+        return w, False
+    odd = sample.ell % 2 == 1
+    north = w[len(w) // 2 :] * (1.0 if odd else 2.0)
+    if len(w) % 2:
+        north[0] *= 0.5
+    return north, odd
 
 
 def _harmonic_dim(ell: int, d: int) -> int:
@@ -419,22 +407,34 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
     return factor
 
 
-def _draw_dense(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
-    """Node-set sampling through the cached harmonic factor: values = g Y with
-    g i.i.d. N(0,1), one per harmonic, so the covariance is Y^T Y, the kernel."""
-    factor = _dense_factor(grid, ell)
-    g = _rng_for(seed).standard_normal(len(factor))
-    return FieldSample(grid, ell, values=g @ factor)
+def _basis(grid: SphereGrid, ell: int) -> np.ndarray:
+    """The grid's cached basis at degree ell, built (or refused) on first use: a node set's
+    harmonic factor Y; on S^2 the Legendre table V_(ell,m) / sqrt(2 ell + 1), one row of
+    orders per northern cosine, (ell + 1) * ceil(res / 2) doubles, refused (ValueError, not
+    cached) off its sum rule by 1e-9 on a ring (from ell ~ 2000: subnormal sectoral starts)."""
+    if grid.cos_colat is None:
+        return _dense_factor(grid, ell)
+    key = ("legendre", ell)
+    if key not in grid._cache:  # ring-major: one row of orders per northern colatitude
+        north = grid.cos_colat[len(grid.cos_colat) // 2 :]
+        norm = 2.0 * ell + 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # a table that overflows is refused below
+            table = _associated_table(ell, 2, north)
+            off = np.abs(np.sum(table**2, axis=0) - norm)
+        if not np.all(off <= 1e-9 * norm):  # nan fails too
+            raise ValueError(f"Legendre table breaks its sum rule at ell={ell}, res={len(grid.cos_colat)}")
+        grid._cache[key] = np.ascontiguousarray((table / math.sqrt(norm)).T)
+    return grid._cache[key]
 
 
 def simulate(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
-    """One draw of the degree-ell field on ``grid``: ring synthesis on an S^2
-    product grid (``cos_colat`` set), the harmonic factor on a node set."""
+    """One draw of the degree-ell field on ``grid``: its basis is built or refused first,
+    so a refusal draws nothing; then dim_d(ell) i.i.d. N(0,1) coefficients, so that by the
+    addition theorem the node covariance is exactly the degree-ell kernel."""
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
-    if grid.cos_colat is not None:
-        return _draw_rings(ell, grid, seed)
-    return _draw_dense(ell, grid, seed)
+    _basis(grid, ell)
+    return FieldSample(grid, ell, _rng_for(seed).standard_normal(_harmonic_dim(ell, grid.d)))
 
 
 # Binary dump layout: 8-byte little-endian header (d: u16, ell: u16, N: u32)

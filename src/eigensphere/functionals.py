@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .field import FieldSample, ring_blocks, scratch
+from .field import FieldSample, block_weights, ring_blocks, scratch
 from .specfun import gauss_pdf_cdf, hermite_eval, sphere_measure
 
 __all__ = ["indicator_coeffs", "excursion_volume", "defect", "hermite_projection"]
@@ -29,26 +29,16 @@ def indicator_coeffs(z: float, truncation: int = 8) -> tuple[float, ...]:
 
 
 def _integrate(sample: FieldSample, f) -> float:
-    """Quadrature integral of f(field): node weights times f(values) on the
-    dense route; on an S^2 product grid, ring weights times the per-ring sums
-    of f, taken a block of northern rings at a time.  Each northern ring also
-    stands for its mirror, which holds its values rolled half a turn (a roll
-    keeps the ring sum) times (-1)^ell: twice its sum at even ell, its sum plus
-    the sum of f(-v) at odd ell, so an odd f integrates to exactly 0 there.
-    The equator of an odd res is its own mirror, so it takes half that."""
-    w = sample.grid.weights
-    if sample.coef is None:
-        return float(np.sum(w * f(sample.values)))
-    odd = sample.ell % 2
+    """Quadrature integral of f(field): the weights of ``block_weights`` times the
+    row sums of f over the blocks of ``ring_blocks``, plus the row sums of f(-v)
+    where a row stands for its mirror too."""
+    w, mirrored = block_weights(sample)
     sums = np.empty(len(w))
-    for rings, block in ring_blocks(sample):
-        np.sum(f(block), axis=1, out=sums[rings])
-        if odd:
-            sums[rings] += np.sum(f(np.negative(block, out=scratch("mirror", block.shape))), axis=1)
-    half = len(w) // 2
-    if len(w) % 2:
-        sums[half] *= 0.5
-    return (1.0 if odd else 2.0) * float(np.sum(w[half:] * sums[half:]))
+    for rows, block in ring_blocks(sample):
+        np.sum(f(block), axis=1, out=sums[rows])
+        if mirrored:
+            sums[rows] += np.sum(f(np.negative(block, out=scratch("mirror", block.shape))), axis=1)
+    return float(np.sum(w * sums))
 
 
 def excursion_volume(sample: FieldSample, z: float) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SphereGrid, build_grid, replicate_seed, simulate
+from .field import DENSE_NODE_BUDGET, SphereGrid, build_grid, replicate_seed, simulate
 from .functionals import defect, excursion_volume, hermite_projection
 from .specfun import gauss_cdf_array
 
@@ -94,11 +94,12 @@ def default_resolution(d: int, kind: str, ell: int, q: int = 2) -> int:
     quantization (variance inflation scales like (ell/resolution)^3), so
     the defect gets 6*ell; smooth projections only need the quadrature to
     be exact at degree q*ell.  For d >= 3 the node-set budget caps the node
-    count at 6000, i.e. resolution 77 (5929 nodes), and a draw needs at least
-    dim_d(ell) nodes, so that grid admits ell <= 76 at d = 3 and ell <= 24 at d = 4.
+    count at DENSE_NODE_BUDGET = 6000, i.e. resolution isqrt(6000) = 77 (5929
+    nodes), and a draw needs at least dim_d(ell) nodes, so that grid admits
+    ell <= 76 at d = 3 and ell <= 24 at d = 4.
     """
     if d != 2:
-        return 77
+        return math.isqrt(DENSE_NODE_BUDGET)
     if kind == "defect":
         return max(64, 6 * ell)
     if kind == "excursion":

@@ -543,14 +543,14 @@ def test_simulate_dispatch(grid64):
 
 
 def test_simulate_routes_by_grid(grid64):
-    # the grid picks the route, not d: an S^2 grid given by its nodes is sampled
-    # through the harmonic factor, one N(0,1) per harmonic, the product grid by
-    # ring synthesis
+    # a draw is one N(0,1) per harmonic on every grid; the grid picks the
+    # synthesis, not d: an S^2 grid given by its nodes is synthesized through
+    # the harmonic factor, the product grid by ring synthesis
     dense = _dense_copy(build_grid(2, 12))
     s = simulate(4, dense, 5)
-    assert s.coef is None
+    assert s.coef.shape == (9,)
     assert np.array_equal(s.values, _rng_for(5).standard_normal(9) @ _dense_factor(dense, 4))
-    assert simulate(4, grid64, 5).coef.shape == (5,)
+    assert simulate(4, grid64, 5).coef.shape == (9,)
 
 
 @pytest.mark.parametrize("d", [2, 3])

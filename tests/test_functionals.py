@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from eigensphere import field
 from eigensphere.field import _associated_table, build_grid, replicate_seed, simulate
 from eigensphere.functionals import (
+    _integrate,
     defect,
     excursion_volume,
     hermite_projection,
@@ -181,13 +182,17 @@ def test_defect_zero_nodes_contribute_nothing():
 def full_sphere_integral(sample, f):
     """The quadrature integral over every node of an independent synthesis of
     the whole sphere: the Legendre table on all res cosines and one irfft per
-    ring, each ring's weight times the sum of f over its 2*res nodes."""
-    grid, ell = sample.grid, sample.ell
+    ring, each ring's weight times the sum of f over its 2*res nodes.  The
+    spectrum of a ring FFT of length n packs the normals g as n g[0] at order 0
+    and (n / 2)(g[2m-1] - i g[2m]) at order m."""
+    grid, ell, g = sample.grid, sample.ell, sample.coef
     res, k = len(grid.cos_colat), ell // len(grid.cos_colat) + 1
+    n = 2 * k * res
+    spectrum = np.concatenate([[n * g[0]], (0.5 * n) * (g[1::2] - 1j * g[2::2])])
     table = _associated_table(ell, 2, grid.cos_colat) / math.sqrt(2.0 * ell + 1.0)
     total = 0.0
     for i in range(res):
-        ring = np.fft.irfft(table[:, i] * sample.coef, n=2 * k * res)[::k]
+        ring = np.fft.irfft(table[:, i] * spectrum, n=n)[::k]
         total += grid.weights[i] * float(np.sum(f(ring)))
     return total
 
@@ -221,6 +226,41 @@ def test_streamed_functionals_match_flat_sum(ell, res):
             assert value == pytest.approx(full_sphere_integral(s, f), rel=1e-13)
 
 
+def stored_values_integral(sample, f):
+    """The reductions of a draw that stored its node values, written out: on a
+    node set np.sum(w * f(values)); on S^2 the per-ring sums of f over the
+    northern rings, plus the sums of f(-v) at odd ell, the equator of an odd res
+    halved, then the weighted sum, doubled at even ell."""
+    w = sample.grid.weights
+    if sample.grid.cos_colat is None:
+        return float(np.sum(w * f(sample.values)))
+    res, half, odd = len(w), len(w) // 2, sample.ell % 2
+    north = sample.values.reshape(res, 2 * res)[half:]
+    sums = np.sum(f(north), axis=1)
+    if odd:
+        sums += np.sum(f(-north), axis=1)
+    if res % 2:
+        sums[0] *= 0.5
+    return (1.0 if odd else 2.0) * float(np.sum(w[half:] * sums))
+
+
+@pytest.mark.parametrize(
+    "d, res, ell",
+    [(2, 7, 4), (2, 7, 9), (2, 7, 14), (2, 64, 8), (2, 64, 33), (2, 65, 9), (2, 65, 64),
+     (2, 65, 131), (2, 768, 128), (3, 20, 6), (3, 20, 7)],
+)
+def test_reduction_is_the_stored_values_reduction(d, res, ell):
+    # one reduction path for every grid gives the same bits as the reductions of
+    # stored node values: odd res (the equator its own mirror), ell >= res (a
+    # finer ring), even and odd ell, and a node set
+    grid = build_grid(d, res)
+    cases = [np.sign, lambda v: v > 1.0, lambda v: hermite_eval(3, v)]
+    for seed in (0, 41):
+        s = simulate(ell, grid, seed)
+        for f in cases:
+            assert _integrate(s, f) == stored_values_integral(s, f), (seed, f)
+
+
 def test_defect_replicate_builds_no_field(monkeypatch):
     # one replicate on the default defect grid of ell = 128 stays far below a
     # single 2 res^2 array (9.4 MB): under its Legendre table plus 2 MiB
@@ -249,14 +289,13 @@ def test_projection_base_cases(sample):
 def test_h2_chi_square_identity(ell):
     # the default projection grid is exact at degree 2 ell, so every draw has
     # h_2 = (4 pi / n)(sum g^2 - n), n = 2 ell + 1, with g its N(0,1) coefficients
-    # (recovered from coef, which the ring FFT of length m scales by m and m / 2):
-    # the synthesis and the quadrature checked per draw, whatever the seed
+    # (coef): the synthesis and the quadrature checked per draw, whatever the seed
     res = default_resolution(2, "projection", ell, q=2)
     grid = build_grid(2, res)
-    n, m = 2 * ell + 1, 2 * (ell // res + 1) * res
+    n = 2 * ell + 1
     for r in range(10):
         s = simulate(ell, grid, replicate_seed(3, r))
-        sum_g2 = (s.coef[0].real / m) ** 2 + (2.0 / m) ** 2 * np.sum(np.abs(s.coef[1:]) ** 2)
+        sum_g2 = np.sum(s.coef**2)
         exact = MU2 / n * (sum_g2 - n)
         assert abs(hermite_projection(s, 2) - exact) <= 1e-12 * MU2 / n * sum_g2, (ell, r)
 

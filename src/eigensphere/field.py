@@ -1,19 +1,20 @@
 """Sampling of single-multipole Gaussian fields on discretized spheres.
 
 A draw is the same on every grid: ``simulate`` builds (or refuses) the grid's cached basis,
-then draws the dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics.  Only this
-module synthesizes: ``ring_blocks`` a block at a time, with the weights of ``block_weights``,
-and ``FieldSample.values`` whole.  An S^2 product grid (``cos_colat`` set) synthesizes
-exactly, one inverse real FFT per northern ring from its Legendre table: the grid is
-mirrored and f(-x) = (-1)^ell f(x), so a southern ring is its mirror rolled half a turn,
-times (-1)^ell, which the weights fold in.  A node set (d >= 3, N <= 6000) synthesizes
-through its exact harmonic factor Y (dim_d(ell) x N, Y^T Y the kernel), built by recursion in
-dimension: the field is one mat-vec g Y, and Y, at most N^2 doubles (200 MB at ell = 64 on
-5929 nodes), is its peak; the grid keeps at most N^2 doubles of factors.  Both bases take
-sin^j G^(d+2j) of S^d from one degree-major recurrence, ``_associated_rows``.
+then draws the dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics, of one seed
+or a stack of seeds.  Only this module synthesizes: ``ring_blocks`` a block at a time, every
+draw of a stack at once, with the weights of ``block_weights``, and ``FieldSample.values``
+whole.  An S^2 product grid (``cos_colat`` set) synthesizes exactly, one inverse real FFT per
+northern ring from its Legendre table: the grid is mirrored and f(-x) = (-1)^ell f(x), so a
+southern ring is its mirror rolled half a turn, times (-1)^ell, which the weights fold in.  A
+node set (d >= 3, N <= 6000) synthesizes through its exact harmonic factor Y (dim_d(ell) x N,
+Y^T Y the kernel), built by recursion in dimension: one mat-vec g Y per draw, and Y, at most
+N^2 doubles (200 MB at ell = 64 on 5929 nodes), is its peak; the grid keeps at most N^2
+doubles of factors.  Both bases take sin^j G^(d+2j) of S^d from ``_associated_rows``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ __all__ = [
     "replicate_seed",
     "ring_blocks",
     "block_weights",
+    "BLOCK_DRAWS",
     "dump_field",
     "load_field",
 ]
@@ -40,6 +42,7 @@ DENSE_NODE_BUDGET = 6000
 S2_NODE_BUDGET = 2**25  # 2 res^2 nodes, so res <= 4096: 256 MiB of node values
 _TABLE_DOUBLES = 2**17  # an order group's three Legendre row buffers: 1 MiB, kept in cache
 _BLOCK_DOUBLES = 2**16  # one block of synthesized rings: 512 KiB, kept in cache
+BLOCK_DRAWS = 32  # draws an ensemble makes and reduces at once, one ring block serving them all
 
 
 class GridTooLargeError(ValueError):
@@ -68,16 +71,18 @@ class SphereGrid:
 
 
 class FieldSample:
-    """One realization of the degree-ell field on a grid, on every grid the same: ``coef``,
-    its dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics (on S^2, g[0] then
-    the cos, sin pair of each order m = 1..ell).  ``ring_blocks`` synthesizes it a block at
-    a time, ``values`` (every node, in node order) whole, only when read."""
+    """One realization of the degree-ell field on a grid, or a stack of B: ``coef``, (dim,) or
+    (B, dim), its dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics (on S^2,
+    g[0] then the cos, sin pair of each order m = 1..ell).  ``ring_blocks`` synthesizes it a
+    block at a time, ``values`` (node order, (B, N) for a stack) whole, only when read."""
 
     def __init__(self, grid: SphereGrid, ell: int, coef: np.ndarray):
         self.grid, self.ell, self.coef = grid, ell, coef
 
     @cached_property
     def values(self) -> np.ndarray:
+        if self.coef.ndim > 1:
+            return np.array([FieldSample(self.grid, self.ell, g).values for g in self.coef])
         if self.grid.cos_colat is None:
             return self.coef @ _basis(self.grid, self.ell)
         res = len(self.grid.cos_colat)
@@ -91,11 +96,33 @@ class FieldSample:
         return out.ravel()
 
 
-def replicate_seed(master_seed: int, index: int) -> int:
-    """64-bit stream key for one replicate, hashed from (master, index) so
-    ensembles are order-independent and reproducible."""
-    ss = np.random.SeedSequence((int(master_seed), int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
+def replicate_seed(master_seed: int, index):
+    """64-bit stream key for one replicate, hashed from (master, index) so ensembles are
+    order-independent and reproducible: numpy's SeedSequence((master, index)).generate_state(1,
+    uint64)[0], an int; for an array of indices in [0, 2^32) that hash in uint32 arithmetic at once."""
+    if isinstance(index, (int, np.integer)):
+        return int(np.random.SeedSequence((int(master_seed), int(index))).generate_state(1, np.uint64)[0])
+    index, master = np.asarray(index), int(master_seed)
+    if master < 0 or index.size and not 0 <= index.min() <= index.max() <= 0xFFFFFFFF:
+        raise ValueError(f"need master seed >= 0 and indices in [0, 2**32), got {master}")
+    words = [master >> s & 0xFFFFFFFF for s in range(0, max(master.bit_length(), 1), 32)]
+    entropy = [np.full(index.shape, w, np.uint32) for w in words] + [index.astype(np.uint32)]
+    const = [0x43B0D7E5]
+
+    def hashmix(v, mult=0x931E8875):
+        const.append(const[-1] * mult & 0xFFFFFFFF)
+        v = (v ^ np.uint32(const[-2])) * np.uint32(const[-1])
+        return v ^ v >> 16
+
+    pool = [hashmix(v) for v in (entropy + [np.zeros(index.shape, np.uint32)] * 3)[:4]]
+    # mix each pool word into the other three, then each entropy word past the pool into all 4
+    for src, dst in [*itertools.permutations(range(4), 2), *itertools.product(range(4, len(entropy)), range(4))]:
+        word = pool[src] if src < 4 else entropy[src]
+        v = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashmix(word)
+        pool[dst] = v ^ v >> 16
+    const.append(0x8B51F9DD)
+    low, high = (hashmix(v, 0x58F38DED).astype(np.uint64) for v in pool[:2])
+    return low | high << np.uint64(32)
 
 
 def _rng_for(seed: int) -> np.random.Generator:
@@ -265,29 +292,30 @@ def scratch(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
 
 def ring_blocks(sample: FieldSample):
     """Yield (rows, values) blocks that make the field, each valid until the next: ``rows``
-    slices the weights of ``block_weights``, values[i] holds the nodes of row i.  A node set
-    is one block, g Y as a column (row i is node i).  An S^2 grid yields its northern rings
-    (row i is ring res // 2 + i) in blocks of about _BLOCK_DOUBLES: irfft(table[rings] *
-    spectrum) in scratch, of length n = 2 k res, k = ell // res + 1 (for ell >= res, a
-    k-fold finer ring keeps every k-th sample)."""
-    basis = _basis(sample.grid, sample.ell)
+    slices the weights of ``block_weights``, values[..., i, :] (after a stack's draw axis) holds
+    the nodes of row i.  A node set is one block, g Y as a column (row i is node i), one mat-vec
+    per draw (a GEMM has other last bits).  An S^2 grid yields its northern rings (row i is ring
+    res // 2 + i) in blocks of about _BLOCK_DOUBLES: irfft(table[rings] * spectrum) for all draws
+    at once, of length n = 2 k res, k = ell // res + 1 (ell >= res: keep every k-th sample)."""
+    basis, g = _basis(sample.grid, sample.ell), sample.coef
     if sample.grid.cos_colat is None:
-        yield slice(0, basis.shape[1]), (sample.coef @ basis)[:, None]
+        gy = g @ basis if g.ndim == 1 else np.array([row @ basis for row in g])
+        yield slice(0, basis.shape[1]), gy[..., None]
         return
-    g, ell, res = sample.coef, sample.ell, len(sample.grid.cos_colat)
+    ell, res, draws = sample.ell, len(sample.grid.cos_colat), g.shape[:-1]  # draws: () or (B,)
     k = ell // res + 1
     n = 2 * k * res
-    spectrum = np.empty(ell + 1, dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
-    spectrum[0] = n * g[0]
-    spectrum[1:] = (0.5 * n) * (g[1::2] - 1j * g[2::2])
-    rows = max(1, min(len(basis), _BLOCK_DOUBLES // n))
-    spectra = scratch("spectra", (rows, ell + 1), complex)
-    rings = scratch("rings", (rows, n))
+    spectrum = np.empty((*draws, 1, ell + 1), dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
+    spectrum[..., 0] = n * g[..., :1]
+    spectrum[..., 1:] = (0.5 * n) * (g[..., None, 1::2] - 1j * g[..., None, 2::2])
+    rows = max(1, min(len(basis), _BLOCK_DOUBLES // (n * math.prod(draws))))
+    spectra = scratch("spectra", (*draws, rows, ell + 1), complex)
+    rings = scratch("rings", (*draws, rows, n))
     for r0 in range(0, len(basis), rows):
         m = min(rows, len(basis) - r0)
-        np.multiply(basis[r0 : r0 + m], spectrum, out=spectra[:m])
-        np.fft.irfft(spectra[:m], n=n, out=rings[:m])
-        yield slice(r0, r0 + m), rings[:m, ::k]
+        np.multiply(basis[r0 : r0 + m], spectrum, out=spectra[..., :m, :])
+        np.fft.irfft(spectra[..., :m, :], n=n, out=rings[..., :m, :])
+        yield slice(r0, r0 + m), rings[..., :m, ::k]
 
 
 def block_weights(sample: FieldSample) -> tuple[np.ndarray, bool]:
@@ -427,14 +455,24 @@ def _basis(grid: SphereGrid, ell: int) -> np.ndarray:
     return grid._cache[key]
 
 
-def simulate(ell: int, grid: SphereGrid, seed: int) -> FieldSample:
-    """One draw of the degree-ell field on ``grid``: its basis is built or refused first,
-    so a refusal draws nothing; then dim_d(ell) i.i.d. N(0,1) coefficients, so that by the
-    addition theorem the node covariance is exactly the degree-ell kernel."""
+def simulate(ell: int, grid: SphereGrid, seed) -> FieldSample:
+    """One draw of the degree-ell field on ``grid``, or a stack for a 1-D uint64 array of seeds,
+    row i with the bits of seed[i] drawn alone: the basis is built or refused first, so a refusal
+    draws nothing; then dim_d(ell) i.i.d. N(0,1) coefficients a draw, so that by the addition
+    theorem the node covariance is exactly the degree-ell kernel."""
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
     _basis(grid, ell)
-    return FieldSample(grid, ell, _rng_for(seed).standard_normal(_harmonic_dim(ell, grid.d)))
+    dim = _harmonic_dim(ell, grid.d)
+    if isinstance(seed, (int, np.integer)):
+        return FieldSample(grid, ell, _rng_for(seed).standard_normal(dim))
+    rng, coef = _rng_for(0), np.empty((len(seed), dim))
+    fresh = rng.bit_generator.state  # counter 0, empty buffer
+    for row, key in zip(coef, seed):  # one Philox re-keyed: row i draws as _rng_for(seed[i])
+        fresh["state"]["key"][0] = key
+        rng.bit_generator.state = fresh
+        rng.standard_normal(out=row)
+    return FieldSample(grid, ell, coef)
 
 
 # Binary dump layout: 8-byte little-endian header (d: u16, ell: u16, N: u32)
@@ -443,7 +481,9 @@ _HEADER = struct.Struct("<HHI")
 
 
 def dump_field(sample: FieldSample, path) -> None:
-    """Write the sample for external visualization (format above)."""
+    """Write the sample for external visualization (format above); a stack is refused."""
+    if sample.coef.ndim > 1:
+        raise ValueError(f"a field dump holds one draw, got a stack of {len(sample.coef)}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(sample.grid.d, sample.ell, len(sample.values)))
         fh.write(np.ascontiguousarray(sample.values, dtype="<f8").tobytes())

@@ -273,6 +273,49 @@ def test_replicate_seed_derivation():
     assert replicate_seed(7, 0) != replicate_seed(8, 0)
 
 
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 12345678901234567890, 2**127 + 3])
+def test_replicate_seed_is_numpy_seed_sequence(master):
+    # the vectorised hash is numpy's SeedSequence((master, index)).generate_state(1, uint64)[0]
+    # bit for bit: 1 to 4 words of master, so the pool of 4 words pads or overflows
+    index = np.arange(5000)
+    expected = [np.random.SeedSequence((master, i)).generate_state(1, np.uint64)[0] for i in range(5000)]
+    seeds = replicate_seed(master, index)
+    assert seeds.dtype == np.uint64
+    assert np.array_equal(seeds, np.array(expected, dtype=np.uint64))
+    one = replicate_seed(master, 4321)
+    assert type(one) is int and one == int(expected[4321])
+
+
+def test_replicate_seed_refuses_out_of_range():
+    with pytest.raises(ValueError):
+        replicate_seed(-1, np.arange(3))
+    with pytest.raises(ValueError):
+        replicate_seed(5, np.array([0, 2**32]))
+
+
+@pytest.mark.parametrize("d, res, ell", [(2, 64, 8), (2, 7, 14), (3, 20, 6)])
+def test_stacked_draw_rows_are_single_draws(d, res, ell):
+    # one Philox re-keyed per seed draws row i with the bits of _rng_for(seeds[i])
+    grid = build_grid(d, res)
+    seeds = replicate_seed(9, np.arange(40))
+    stack = simulate(ell, grid, seeds)
+    dim = _harmonic_dim(ell, d)
+    assert stack.coef.shape == (40, dim)
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(stack.coef[i], _rng_for(seed).standard_normal(dim)), i
+    assert np.array_equal(simulate(ell, grid, seeds[:0]).coef, np.empty((0, dim)))
+
+
+@pytest.mark.parametrize("d, res", [(2, 16), (3, 12)])
+def test_stack_values_are_one_row_per_draw(d, res):
+    grid = build_grid(d, res)
+    seeds = replicate_seed(2, np.arange(3))
+    stack = simulate(4, grid, seeds)
+    assert stack.values.shape == (3, grid.size)
+    for i, seed in enumerate(seeds):
+        assert np.array_equal(stack.values[i], simulate(4, grid, int(seed)).values)
+
+
 def test_pointwise_variance():
     grid = build_grid(2, 16)
     vals = np.empty(10_000)
@@ -571,6 +614,15 @@ def test_dump_round_trip(tmp_path, grid64):
     raw = path.read_bytes()
     assert len(raw) == 8 + 8 * grid64.size
     assert struct.unpack("<HHI", raw[:8]) == (2, 8, grid64.size)
+
+
+def test_dump_refuses_a_stack(tmp_path, grid64):
+    # the dump format holds one field
+    stack = simulate(8, grid64, replicate_seed(1, np.arange(2)))
+    path = tmp_path / "stack.field"
+    with pytest.raises(ValueError, match="one draw"):
+        dump_field(stack, path)
+    assert not path.exists()
 
 
 def test_dump_truncation_detected(tmp_path, grid64):

@@ -261,6 +261,33 @@ def test_reduction_is_the_stored_values_reduction(d, res, ell):
             assert _integrate(s, f) == stored_values_integral(s, f), (seed, f)
 
 
+@pytest.mark.parametrize(
+    "d, res, ell",
+    [(2, 7, 4), (2, 7, 9), (2, 7, 14), (2, 64, 8), (2, 64, 33), (2, 65, 9), (2, 65, 64),
+     (2, 65, 131), (2, 768, 128), (2, 768, 127), (3, 20, 6), (3, 20, 7)],
+)
+def test_stack_reduction_is_the_per_draw_reduction(d, res, ell):
+    # a stack of draws reduced at once gives each draw the bits it has alone: odd res (the
+    # equator its own mirror), ell >= res (a finer ring), even and odd ell, 32 draws on the
+    # 768 grid (one ring a block) and a node set (one mat-vec per draw)
+    grid = build_grid(d, res)
+    seeds = replicate_seed(17, np.arange(32 if res == 768 else 5))
+    stack = simulate(ell, grid, seeds)
+    draws = [simulate(ell, grid, int(seed)) for seed in seeds]
+    cases = [
+        defect,
+        lambda s: excursion_volume(s, 1.0),
+        lambda s: excursion_volume(s, -40.0),  # capped at mu_d
+        lambda s: hermite_projection(s, 2),
+        lambda s: hermite_projection(s, 3),
+    ]
+    for i, f in enumerate(cases):
+        values = f(stack)
+        alone = [f(s) for s in draws]
+        assert all(type(v) is float for v in alone)
+        assert values.shape == (len(seeds),) and np.array_equal(values, np.array(alone)), i
+
+
 def test_defect_replicate_builds_no_field(monkeypatch):
     # one replicate on the default defect grid of ell = 128 stays far below a
     # single 2 res^2 array (9.4 MB): under its Legendre table plus 2 MiB

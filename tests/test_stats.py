@@ -4,7 +4,9 @@ import statistics as pystats
 import numpy as np
 import pytest
 
-from eigensphere.field import GridTooLargeError
+from eigensphere import stats
+from eigensphere.field import BLOCK_DRAWS, GridTooLargeError, replicate_seed, simulate
+from eigensphere.functionals import defect, excursion_volume, hermite_projection
 from eigensphere.stats import (
     ExperimentSpec,
     ReplicateError,
@@ -60,6 +62,37 @@ def test_replicate_error_tagging():
         run_ensemble(spec, 10, 1)
     assert excinfo.value.index == 0
     assert isinstance(excinfo.value.__cause__, GridTooLargeError)
+
+
+def test_replicate_error_tags_a_later_block(monkeypatch):
+    # a failure in the second block of draws is tagged with that block's first replicate
+    calls = []
+
+    def failing(ell, grid, seeds):
+        calls.append(len(seeds))
+        if len(calls) == 2:
+            raise RuntimeError("injected")
+        return simulate(ell, grid, seeds)
+
+    monkeypatch.setattr(stats, "simulate", failing)
+    with pytest.raises(ReplicateError, match="injected") as excinfo:
+        run_ensemble(ExperimentSpec(2, 8, "defect", 64), 100, 1)
+    assert excinfo.value.index == BLOCK_DRAWS == calls[0]
+
+
+@pytest.mark.parametrize("replicates", [2, 33, 101])
+@pytest.mark.parametrize(
+    "spec",
+    [ExperimentSpec(2, 9, "projection", 64, q=2), ExperimentSpec(2, 8, "excursion", 64, z=1.0),
+     ExperimentSpec(2, 8, "defect", 48)],
+)
+def test_blocked_ensemble_is_the_per_replicate_loop(spec, replicates):
+    # blocks of BLOCK_DRAWS draws, the last one partial, give every replicate its own bits
+    grid = shared_grid(spec.d, spec.grid_resolution)
+    f = {"projection": lambda s: hermite_projection(s, spec.q), "defect": defect,
+         "excursion": lambda s: excursion_volume(s, spec.z)}[spec.functional]
+    loop = [f(simulate(spec.ell, grid, replicate_seed(11, r))) for r in range(replicates)]
+    assert np.array_equal(run_ensemble(spec, replicates, 11).values, np.array(loop))
 
 
 def test_experiment_validation():

@@ -2,11 +2,12 @@
 
 A draw is the same on every grid: ``simulate`` builds (or refuses) the grid's cached basis,
 then draws the dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics, of one seed
-or a stack of seeds.  Only this module synthesizes: ``ring_blocks`` a block at a time, every
-draw of a stack at once, with the weights of ``block_weights``, and ``FieldSample.values``
-whole.  An S^2 product grid (``cos_colat`` set) synthesizes exactly, one inverse real FFT per
-northern ring from its Legendre table: the grid is mirrored and f(-x) = (-1)^ell f(x), so a
-southern ring is its mirror rolled half a turn, times (-1)^ell, which the weights fold in.  A
+or a stack of seeds.  Only this module synthesizes, by ``ring_blocks``, a block of rows at a
+time for every draw of a stack at once, and only it knows how rows stand for nodes: ``integrate``
+reduces the blocks to one quadrature integral per draw, ``FieldSample.values`` assembles them.
+An S^2 product grid (``cos_colat`` set) synthesizes exactly, one inverse real FFT per northern
+ring from its Legendre table: the grid is mirrored and f(-x) = (-1)^ell f(x), so a southern ring
+is its mirror rolled half a turn, times (-1)^ell, which ``integrate`` folds into its weights.  A
 node set (d >= 3, N <= 6000) synthesizes through its exact harmonic factor Y (dim_d(ell) x N,
 Y^T Y the kernel), built by recursion in dimension: one mat-vec g Y per draw, and Y, at most
 N^2 doubles (200 MB at ell = 64 on 5929 nodes), is its peak; the grid keeps at most N^2
@@ -31,8 +32,7 @@ __all__ = [
     "build_grid",
     "simulate",
     "replicate_seed",
-    "ring_blocks",
-    "block_weights",
+    "integrate",
     "BLOCK_DRAWS",
     "dump_field",
     "load_field",
@@ -58,7 +58,7 @@ class SphereGrid:
 
     d: int
     weights: np.ndarray  # (res,) per ring on a product grid, (N,) per node otherwise
-    nodes: np.ndarray | None = None  # (N, d+1), the dense route
+    nodes: np.ndarray | None = None  # (N, d+1), the node-set route
     cos_colat: np.ndarray | None = None  # (res,), the S^2 product route
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -73,27 +73,23 @@ class SphereGrid:
 class FieldSample:
     """One realization of the degree-ell field on a grid, or a stack of B: ``coef``, (dim,) or
     (B, dim), its dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics (on S^2,
-    g[0] then the cos, sin pair of each order m = 1..ell).  ``ring_blocks`` synthesizes it a
-    block at a time, ``values`` (node order, (B, N) for a stack) whole, only when read."""
+    g[0] then the cos, sin pair of each order m = 1..ell).  ``values`` (node order, (B, N) for
+    a stack) assembles the blocks of ``ring_blocks``, only when read."""
 
     def __init__(self, grid: SphereGrid, ell: int, coef: np.ndarray):
         self.grid, self.ell, self.coef = grid, ell, coef
 
     @cached_property
     def values(self) -> np.ndarray:
-        if self.coef.ndim > 1:
-            return np.array([FieldSample(self.grid, self.ell, g).values for g in self.coef])
-        if self.grid.cos_colat is None:
-            return self.coef @ _basis(self.grid, self.ell)
-        res = len(self.grid.cos_colat)
-        half = res // 2
-        out = np.empty((res, 2 * res))
+        n = len(self.grid.weights)  # rows: the rings of an S^2 grid, the nodes of a node set
+        half = 0 if self.grid.cos_colat is None else n // 2
+        out = np.empty((*self.coef.shape[:-1], n, self.grid.size // n))
         for rows, block in ring_blocks(self):
-            out[half:][rows] = block
-        # southern ring i is northern ring res - 1 - i, half a turn on, times (-1)^ell
-        south = np.roll(out[: res - half - 1 : -1], res, axis=1)
-        np.multiply(south, -1.0 if self.ell % 2 else 1.0, out=out[:half])
-        return out.ravel()
+            out[..., half:, :][..., rows, :] = block
+        if half:  # southern ring i is northern ring n - 1 - i, half a turn on, times (-1)^ell
+            south = np.roll(out[..., : n - half - 1 : -1, :], n, axis=-1)
+            np.multiply(south, -1.0 if self.ell % 2 else 1.0, out=out[..., :half, :])
+        return out.reshape(*self.coef.shape[:-1], self.grid.size)
 
 
 def replicate_seed(master_seed: int, index):
@@ -233,7 +229,7 @@ def _associated_rows(top: int, d: int, x: np.ndarray, s: np.ndarray, lo: int = 0
     dims = np.array([_harmonic_dim(k, d - 1) for k in range(top + 1)], dtype=float)
     k_lam = np.arange(1, top + 1) + 0.5 * (d - 1)
     sectoral = np.sqrt(dims[1:] / dims[:-1] * k_lam / (k_lam - 0.5))  # V_(k,k) / (s V_(k-1,k-1))
-    prev, curr, scratch = (np.empty((hi - lo, len(x))) for _ in range(3))
+    prev, curr, tmp = (np.empty((hi - lo, len(x))) for _ in range(3))
     sect = np.ones(len(x))  # V_(k,k), the sectoral chain every order starts from
     for k in range(top + 1):
         j = np.arange(lo, min(k - 1, hi))  # orders that step from degrees k - 1 and k - 2
@@ -242,7 +238,7 @@ def _associated_rows(top: int, d: int, x: np.ndarray, s: np.ndarray, lo: int = 0
             a = np.sqrt((2.0 * k + d - 3.0) * (2.0 * k + d - 1.0) / kj)
             b = np.sqrt((2.0 * k + d - 1.0) * (k + j + d - 3.0) * (k - j - 1.0) / (kj * (2.0 * k + d - 5.0)))
             m = len(j)
-            step = np.multiply(a[:, None], x, out=scratch[:m])
+            step = np.multiply(a[:, None], x, out=tmp[:m])
             step *= curr[:m]
             prev[:m] *= b[:, None]
             np.subtract(step, prev[:m], out=prev[:m])  # (a x) V_(k-1) - b V_(k-2)
@@ -278,39 +274,29 @@ def _associated_table(ell: int, d: int, x: np.ndarray) -> np.ndarray:
     return np.fromiter(rows, dtype=(float, len(x)), count=ell + 1)
 
 
-_SCRATCH: dict[str, np.ndarray] = {}
-
-
-def scratch(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """A view of the process-wide buffer ``name``, grown on demand: every draw
-    reuses it, so the ring loop allocates no block after the first draw."""
-    size = math.prod(shape)
-    if name not in _SCRATCH or _SCRATCH[name].size < size:
-        _SCRATCH[name] = np.empty(size, dtype)
-    return _SCRATCH[name][:size].reshape(shape)
-
-
 def ring_blocks(sample: FieldSample):
-    """Yield (rows, values) blocks that make the field, each valid until the next: ``rows``
-    slices the weights of ``block_weights``, values[..., i, :] (after a stack's draw axis) holds
-    the nodes of row i.  A node set is one block, g Y as a column (row i is node i), one mat-vec
-    per draw (a GEMM has other last bits).  An S^2 grid yields its northern rings (row i is ring
-    res // 2 + i) in blocks of about _BLOCK_DOUBLES: irfft(table[rings] * spectrum) for all draws
-    at once, of length n = 2 k res, k = ell // res + 1 (ell >= res: keep every k-th sample)."""
+    """Yield (rows, values) blocks that make the field, each valid until the next:
+    values[..., i, :] (after a stack's draw axis) holds the nodes of row ``rows``[i].  A node
+    set is one block, g Y as a column (row i is node i), one mat-vec per draw (a GEMM has other
+    last bits).  An S^2 grid yields its northern rings (row i is ring res // 2 + i) in blocks of
+    about _BLOCK_DOUBLES, in two buffers made once per call: irfft(table[rings] * spectrum) for
+    all draws at once, of length n = 2 k res, k = ell // res + 1 (ell >= res: every k-th sample)."""
     basis, g = _basis(sample.grid, sample.ell), sample.coef
+    draws = g.shape[:-1]  # () or (B,)
     if sample.grid.cos_colat is None:
-        gy = g @ basis if g.ndim == 1 else np.array([row @ basis for row in g])
+        gy = np.empty((*draws, basis.shape[1]))
+        for i in np.ndindex(draws):
+            gy[i] = g[i] @ basis
         yield slice(0, basis.shape[1]), gy[..., None]
         return
-    ell, res, draws = sample.ell, len(sample.grid.cos_colat), g.shape[:-1]  # draws: () or (B,)
+    ell, res = sample.ell, len(sample.grid.cos_colat)
     k = ell // res + 1
     n = 2 * k * res
     spectrum = np.empty((*draws, 1, ell + 1), dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
     spectrum[..., 0] = n * g[..., :1]
     spectrum[..., 1:] = (0.5 * n) * (g[..., None, 1::2] - 1j * g[..., None, 2::2])
-    rows = max(1, min(len(basis), _BLOCK_DOUBLES // (n * math.prod(draws))))
-    spectra = scratch("spectra", (*draws, rows, ell + 1), complex)
-    rings = scratch("rings", (*draws, rows, n))
+    rows = max(1, min(len(basis), _BLOCK_DOUBLES // (n * max(1, math.prod(draws)))))
+    spectra, rings = np.empty((*draws, rows, ell + 1), dtype=complex), np.empty((*draws, rows, n))
     for r0 in range(0, len(basis), rows):
         m = min(rows, len(basis) - r0)
         np.multiply(basis[r0 : r0 + m], spectrum, out=spectra[..., :m, :])
@@ -318,20 +304,26 @@ def ring_blocks(sample: FieldSample):
         yield slice(r0, r0 + m), rings[..., :m, ::k]
 
 
-def block_weights(sample: FieldSample) -> tuple[np.ndarray, bool]:
-    """Quadrature weights of the rows of ``ring_blocks``, and whether each row also stands
-    for its mirror -v.  A node set: its node weights.  On S^2 a northern ring stands for its
-    southern mirror too, its values rolled half a turn (same sum) times (-1)^ell: twice its
-    weight at even ell; at odd ell its weight and the f(-v) sums, so an odd f integrates to
-    exactly 0.  The equator of an odd res is its own mirror: half that."""
+def integrate(sample: FieldSample, f) -> float | np.ndarray:
+    """Quadrature integral of f(field), a float (an array for a stack, with each draw's bits
+    alone), with no field-sized array on S^2: the row weights times the row sums of f over the
+    blocks of ``ring_blocks``.  A node set weighs each node.  On S^2 a northern ring stands for
+    its southern mirror too, its values rolled half a turn (same sum) times (-1)^ell: twice its
+    weight at even ell; at odd ell its weight and the sums of f(-v) as well, so an odd f
+    integrates to exactly 0.  The equator of an odd res is its own mirror: half that."""
     w = sample.grid.weights
-    if sample.grid.cos_colat is None:
-        return w, False
-    odd = sample.ell % 2 == 1
-    north = w[len(w) // 2 :] * (1.0 if odd else 2.0)
-    if len(w) % 2:
-        north[0] *= 0.5
-    return north, odd
+    mirrored = sample.grid.cos_colat is not None and sample.ell % 2 == 1
+    if sample.grid.cos_colat is not None:
+        w = w[len(w) // 2 :] * (1.0 if mirrored else 2.0)
+        if len(sample.grid.weights) % 2:
+            w[0] *= 0.5
+    sums = np.empty((*sample.coef.shape[:-1], len(w)))
+    for rows, block in ring_blocks(sample):
+        np.sum(f(block), axis=-1, out=sums[..., rows])
+        if mirrored:
+            sums[..., rows] += np.sum(f(-block), axis=-1)
+    total = np.sum(w * sums, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def _harmonic_dim(ell: int, d: int) -> int:
@@ -492,7 +484,10 @@ def dump_field(sample: FieldSample, path) -> None:
 def load_field(path) -> tuple[int, int, np.ndarray]:
     """Read a dump back as (d, ell, values)."""
     with open(path, "rb") as fh:
-        d, ell, n = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"truncated field dump: {len(header)} of {_HEADER.size} header bytes")
+        d, ell, n = _HEADER.unpack(header)
         values = np.frombuffer(fh.read(8 * n), dtype="<f8")
         if len(values) != n:
             raise ValueError(f"truncated field dump: expected {n} values, got {len(values)}")

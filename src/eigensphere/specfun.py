@@ -135,11 +135,9 @@ def gegenbauer_eval_many(ell: int, d: int, t):
     return g if t.ndim else g[0]
 
 
-def hermite_eval(q: int, t, work: np.ndarray | None = None):
+def hermite_eval(q: int, t):
     """Probabilists' Hermite H_q at t (scalar or array), via
-    H_{k+1} = t H_k - k H_{k-1} on three rotating rows of ``work``, an array
-    of shape (3, *t.shape).  Given one, the evaluation allocates nothing and
-    returns a view into it; otherwise it allocates one.
+    H_{k+1} = t H_k - k H_{k-1} on three rotating rows of one (3, *t.shape) array.
 
     No scaling is applied; q stays small (<= ~12) in every experiment so
     the values remain well inside double range.
@@ -147,7 +145,7 @@ def hermite_eval(q: int, t, work: np.ndarray | None = None):
     if q < 0:
         raise ValueError(f"Hermite order must be >= 0, got {q}")
     arr = np.asarray(t, dtype=float)
-    work = np.empty((3, *arr.shape)) if work is None else work
+    work = np.empty((3, *arr.shape))
     h_prev, h, tmp = work[0, ...], work[1, ...], work[2, ...]
     h_prev[...], h[...] = 1.0, arr
     for k in range(1, q):

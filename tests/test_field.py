@@ -306,14 +306,18 @@ def test_stacked_draw_rows_are_single_draws(d, res, ell):
     assert np.array_equal(simulate(ell, grid, seeds[:0]).coef, np.empty((0, dim)))
 
 
-@pytest.mark.parametrize("d, res", [(2, 16), (3, 12)])
+@pytest.mark.parametrize("d, res", [(2, 16), (3, 12), (2, 7)])
 def test_stack_values_are_one_row_per_draw(d, res):
+    # a stack's values come from the blocks that reduce it, row i with the bits of draw i
+    # alone: an odd res and, on it, ell >= res (a finer ring); an empty stack has no rows
     grid = build_grid(d, res)
     seeds = replicate_seed(2, np.arange(3))
-    stack = simulate(4, grid, seeds)
-    assert stack.values.shape == (3, grid.size)
-    for i, seed in enumerate(seeds):
-        assert np.array_equal(stack.values[i], simulate(4, grid, int(seed)).values)
+    for ell in (9, 14) if res == 7 else (4,):
+        stack = simulate(ell, grid, seeds)
+        assert stack.values.shape == (3, grid.size)
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(stack.values[i], simulate(ell, grid, int(seed)).values), (ell, i)
+        assert simulate(ell, grid, seeds[:0]).values.shape == (0, grid.size)
 
 
 def test_pointwise_variance():
@@ -626,9 +630,12 @@ def test_dump_refuses_a_stack(tmp_path, grid64):
 
 
 def test_dump_truncation_detected(tmp_path, grid64):
+    # a short body, a cut-short header and an empty file
     s = simulate(8, grid64, 5)
     path = tmp_path / "sample.field"
     dump_field(s, path)
-    path.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(ValueError):
-        load_field(path)
+    raw = path.read_bytes()
+    for cut in (raw[:-16], raw[:5], b""):
+        path.write_bytes(cut)
+        with pytest.raises(ValueError, match="truncated field dump"):
+            load_field(path)

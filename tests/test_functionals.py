@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensphere import field
-from eigensphere.field import _associated_table, build_grid, replicate_seed, simulate
+from eigensphere.field import _associated_table, build_grid, integrate, replicate_seed, simulate
 from eigensphere.functionals import (
-    _integrate,
     defect,
     excursion_volume,
     hermite_projection,
@@ -258,7 +257,7 @@ def test_reduction_is_the_stored_values_reduction(d, res, ell):
     for seed in (0, 41):
         s = simulate(ell, grid, seed)
         for f in cases:
-            assert _integrate(s, f) == stored_values_integral(s, f), (seed, f)
+            assert integrate(s, f) == stored_values_integral(s, f), (seed, f)
 
 
 @pytest.mark.parametrize(
@@ -269,10 +268,11 @@ def test_reduction_is_the_stored_values_reduction(d, res, ell):
 def test_stack_reduction_is_the_per_draw_reduction(d, res, ell):
     # a stack of draws reduced at once gives each draw the bits it has alone: odd res (the
     # equator its own mirror), ell >= res (a finer ring), even and odd ell, 32 draws on the
-    # 768 grid (one ring a block) and a node set (one mat-vec per draw)
+    # 768 grid (one ring a block) and a node set (one mat-vec per draw); an empty stack
+    # reduces to an empty float array
     grid = build_grid(d, res)
     seeds = replicate_seed(17, np.arange(32 if res == 768 else 5))
-    stack = simulate(ell, grid, seeds)
+    stack, empty = simulate(ell, grid, seeds), simulate(ell, grid, seeds[:0])
     draws = [simulate(ell, grid, int(seed)) for seed in seeds]
     cases = [
         defect,
@@ -286,22 +286,25 @@ def test_stack_reduction_is_the_per_draw_reduction(d, res, ell):
         alone = [f(s) for s in draws]
         assert all(type(v) is float for v in alone)
         assert values.shape == (len(seeds),) and np.array_equal(values, np.array(alone)), i
+        none = f(empty)
+        assert none.shape == (0,) and none.dtype == float, i
 
 
-def test_defect_replicate_builds_no_field(monkeypatch):
-    # one replicate on the default defect grid of ell = 128 stays far below a
-    # single 2 res^2 array (9.4 MB): under its Legendre table plus 2 MiB
+def test_defect_replicate_builds_no_field():
+    # one replicate, and one block of BLOCK_DRAWS replicates, on the default defect grid of
+    # ell = 128 stays far below a single 2 res^2 array (9.4 MB): under its Legendre table
+    # plus 2 MiB, the block buffers included
     grid = build_grid(2, 768)
     defect(simulate(128, grid, 0))  # builds the table
     table = grid._cache[("legendre", 128)]
-    monkeypatch.setattr(field, "_SCRATCH", {})  # count the block buffers too
-    tracemalloc.start()
-    try:
-        defect(simulate(128, grid, 1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < table.nbytes + 2**21, peak
+    for seed in (1, replicate_seed(1, np.arange(field.BLOCK_DRAWS))):
+        tracemalloc.start()
+        try:
+            defect(simulate(128, grid, seed))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes + 2**21, (np.ndim(seed), peak)
 
 
 # ---------------------------------------------------------------- projections

@@ -121,7 +121,7 @@ def _rows_simulate(cfg: RunConfig) -> tuple[list[str], list[list]]:
     for ell in cfg.ell_list:
         res = _resolution(cfg, "projection", ell)
         grid = shared_grid(cfg.d, res)
-        sample = simulate(ell, grid, cfg.seed)
+        sample = simulate(ell, grid, [cfg.seed])
         if cfg.output:
             dump_field(sample, f"{cfg.output}.l{ell}.field")
         rows.append(
@@ -130,8 +130,8 @@ def _rows_simulate(cfg: RunConfig) -> tuple[list[str], list[list]]:
                 ell,
                 res,
                 cfg.seed,
-                float(np.mean(sample.values)),
-                float(np.var(sample.values)),
+                float(np.mean(sample.values[0])),
+                float(np.var(sample.values[0])),
                 grid.size,
             ]
         )

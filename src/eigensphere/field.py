@@ -1,9 +1,9 @@
 """Sampling of single-multipole Gaussian fields on discretized spheres.
 
 A draw is the same on every grid: ``simulate`` builds (or refuses) the grid's cached basis,
-then draws the dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics, of one seed
-or a stack of seeds.  Only this module synthesizes, by ``ring_blocks``, a block of rows at a
-time for every draw of a stack at once, and only it knows how rows stand for nodes: ``integrate``
+then draws a stack, the dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics of
+each Philox key.  Only this module synthesizes, by ``ring_blocks``, a block of rows at a time
+for every draw of the stack at once, and only it knows how rows stand for nodes: ``integrate``
 reduces the blocks to one quadrature integral per draw, ``FieldSample.values`` assembles them.
 An S^2 product grid (``cos_colat`` set) synthesizes exactly, one inverse real FFT per northern
 ring from its Legendre table: the grid is mirrored and f(-x) = (-1)^ell f(x), so a southern ring
@@ -71,10 +71,10 @@ class SphereGrid:
 
 
 class FieldSample:
-    """One realization of the degree-ell field on a grid, or a stack of B: ``coef``, (dim,) or
-    (B, dim), its dim_d(ell) N(0,1) coefficients on the real orthonormal harmonics (on S^2,
-    g[0] then the cos, sin pair of each order m = 1..ell).  ``values`` (node order, (B, N) for
-    a stack) assembles the blocks of ``ring_blocks``, only when read."""
+    """A stack of B realizations of the degree-ell field on a grid: ``coef``, (B, dim), row i the
+    dim_d(ell) N(0,1) coefficients of draw i on the real orthonormal harmonics (on S^2, g[0] then
+    the cos, sin pair of each order m = 1..ell).  ``values``, (B, N) in node order, assembles the
+    blocks of ``ring_blocks``, only when read."""
 
     def __init__(self, grid: SphereGrid, ell: int, coef: np.ndarray):
         self.grid, self.ell, self.coef = grid, ell, coef
@@ -83,22 +83,22 @@ class FieldSample:
     def values(self) -> np.ndarray:
         n = len(self.grid.weights)  # rows: the rings of an S^2 grid, the nodes of a node set
         half = 0 if self.grid.cos_colat is None else n // 2
-        out = np.empty((*self.coef.shape[:-1], n, self.grid.size // n))
+        out = np.empty((len(self.coef), n, self.grid.size // n))
         for rows, block in ring_blocks(self):
-            out[..., half:, :][..., rows, :] = block
+            out[:, half:][:, rows] = block
         if half:  # southern ring i is northern ring n - 1 - i, half a turn on, times (-1)^ell
-            south = np.roll(out[..., : n - half - 1 : -1, :], n, axis=-1)
-            np.multiply(south, -1.0 if self.ell % 2 else 1.0, out=out[..., :half, :])
-        return out.reshape(*self.coef.shape[:-1], self.grid.size)
+            south = np.roll(out[:, : n - half - 1 : -1], n, axis=-1)
+            np.multiply(south, -1.0 if self.ell % 2 else 1.0, out=out[:, :half])
+        return out.reshape(len(self.coef), self.grid.size)
 
 
-def replicate_seed(master_seed: int, index):
-    """64-bit stream key for one replicate, hashed from (master, index) so ensembles are
-    order-independent and reproducible: numpy's SeedSequence((master, index)).generate_state(1,
-    uint64)[0], an int; for an array of indices in [0, 2^32) that hash in uint32 arithmetic at once."""
-    if isinstance(index, (int, np.integer)):
-        return int(np.random.SeedSequence((int(master_seed), int(index))).generate_state(1, np.uint64)[0])
+def replicate_seed(master_seed: int, index) -> np.ndarray:
+    """64-bit stream keys of replicates, hashed from (master, index) so ensembles are order-
+    independent and reproducible: for a 1-D integer array of indices in [0, 2^32), the uint64 array
+    of numpy's SeedSequence((master, index)).generate_state(1, uint64)[0], hashed in uint32 at once."""
     index, master = np.asarray(index), int(master_seed)
+    if index.ndim != 1 or index.dtype.kind not in "iu":  # astype(uint32) would truncate 0.5 to 0
+        raise ValueError(f"indices must be a 1-D integer array, got {index.ndim}-D {index.dtype}")
     if master < 0 or index.size and not 0 <= index.min() <= index.max() <= 0xFFFFFFFF:
         raise ValueError(f"need master seed >= 0 and indices in [0, 2**32), got {master}")
     words = [master >> s & 0xFFFFFFFF for s in range(0, max(master.bit_length(), 1), 32)]
@@ -121,11 +121,6 @@ def replicate_seed(master_seed: int, index):
     return low | high << np.uint64(32)
 
 
-def _rng_for(seed: int) -> np.random.Generator:
-    # Philox is counter-based: streams for distinct keys never collide
-    return np.random.Generator(np.random.Philox(key=int(seed)))
-
-
 def build_grid(d: int, resolution: int) -> SphereGrid:
     """Quadrature grid on S^d.
 
@@ -141,7 +136,8 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
 
     d >= 3: Kronecker low-discrepancy sequence of resolution^2 points in
     the unit cube mapped to hyperspherical angles by inverting each
-    sin-power marginal; equal weights mu_d / N.
+    sin-power marginal; equal weights mu_d / N.  Over DENSE_NODE_BUDGET
+    nodes (res > 77) it raises GridTooLargeError before allocating anything.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -156,6 +152,8 @@ def build_grid(d: int, resolution: int) -> SphereGrid:
         x, w = gauss_legendre(resolution)
         return SphereGrid(2, w * (2.0 * math.pi / (2 * resolution)), cos_colat=x)
     n = resolution * resolution
+    if n > DENSE_NODE_BUDGET:
+        raise GridTooLargeError(f"{n} nodes exceeds the node-set budget {DENSE_NODE_BUDGET}")
     u = _kronecker_sequence(n, d)
     nodes = _angles_to_sphere(u, d)
     weights = np.full(n, sphere_measure(d) / n)
@@ -275,38 +273,35 @@ def _associated_table(ell: int, d: int, x: np.ndarray) -> np.ndarray:
 
 
 def ring_blocks(sample: FieldSample):
-    """Yield (rows, values) blocks that make the field, each valid until the next:
-    values[..., i, :] (after a stack's draw axis) holds the nodes of row ``rows``[i].  A node
-    set is one block, g Y as a column (row i is node i), one mat-vec per draw (a GEMM has other
-    last bits).  An S^2 grid yields its northern rings (row i is ring res // 2 + i) in blocks of
-    about _BLOCK_DOUBLES, in two buffers made once per call: irfft(table[rings] * spectrum) for
-    all draws at once, of length n = 2 k res, k = ell // res + 1 (ell >= res: every k-th sample)."""
+    """Yield (rows, values) blocks that make the field, each valid until the next: values[b, i]
+    holds draw b's nodes of row ``rows``[i].  A node set is one block, g Y as a column (row i is
+    node i), one mat-vec per draw (a GEMM has other last bits).  An S^2 grid yields its northern
+    rings (row i is ring res // 2 + i) in blocks of about _BLOCK_DOUBLES, in two buffers made once
+    per call: irfft(table[rings] * spectrum) for all draws at once, of length n = 2 k res,
+    k = ell // res + 1 (ell >= res: every k-th sample)."""
     basis, g = _basis(sample.grid, sample.ell), sample.coef
-    draws = g.shape[:-1]  # () or (B,)
     if sample.grid.cos_colat is None:
-        gy = np.empty((*draws, basis.shape[1]))
-        for i in np.ndindex(draws):
-            gy[i] = g[i] @ basis
-        yield slice(0, basis.shape[1]), gy[..., None]
+        gy = np.fromiter((row @ basis for row in g), dtype=(float, basis.shape[1]), count=len(g))
+        yield slice(0, basis.shape[1]), gy[:, :, None]
         return
     ell, res = sample.ell, len(sample.grid.cos_colat)
     k = ell // res + 1
     n = 2 * k * res
-    spectrum = np.empty((*draws, 1, ell + 1), dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
-    spectrum[..., 0] = n * g[..., :1]
-    spectrum[..., 1:] = (0.5 * n) * (g[..., None, 1::2] - 1j * g[..., None, 2::2])
-    rows = max(1, min(len(basis), _BLOCK_DOUBLES // (n * max(1, math.prod(draws)))))
-    spectra, rings = np.empty((*draws, rows, ell + 1), dtype=complex), np.empty((*draws, rows, n))
+    spectrum = np.empty((len(g), 1, ell + 1), dtype=complex)  # g[2m-1], g[2m]: cos, sin pair of order m
+    spectrum[:, 0, 0] = n * g[:, 0]
+    spectrum[:, 0, 1:] = (0.5 * n) * (g[:, 1::2] - 1j * g[:, 2::2])
+    rows = max(1, min(len(basis), _BLOCK_DOUBLES // (n * max(1, len(g)))))
+    spectra, rings = np.empty((len(g), rows, ell + 1), dtype=complex), np.empty((len(g), rows, n))
     for r0 in range(0, len(basis), rows):
         m = min(rows, len(basis) - r0)
-        np.multiply(basis[r0 : r0 + m], spectrum, out=spectra[..., :m, :])
-        np.fft.irfft(spectra[..., :m, :], n=n, out=rings[..., :m, :])
-        yield slice(r0, r0 + m), rings[..., :m, ::k]
+        np.multiply(basis[r0 : r0 + m], spectrum, out=spectra[:, :m])
+        np.fft.irfft(spectra[:, :m], n=n, out=rings[:, :m])
+        yield slice(r0, r0 + m), rings[:, :m, ::k]
 
 
-def integrate(sample: FieldSample, f) -> float | np.ndarray:
-    """Quadrature integral of f(field), a float (an array for a stack, with each draw's bits
-    alone), with no field-sized array on S^2: the row weights times the row sums of f over the
+def integrate(sample: FieldSample, f) -> np.ndarray:
+    """Quadrature integral of f(field), one float64 per draw, each with the bits it has in a stack
+    of one, and no field-sized array on S^2: the row weights times the row sums of f over the
     blocks of ``ring_blocks``.  A node set weighs each node.  On S^2 a northern ring stands for
     its southern mirror too, its values rolled half a turn (same sum) times (-1)^ell: twice its
     weight at even ell; at odd ell its weight and the sums of f(-v) as well, so an odd f
@@ -317,13 +312,12 @@ def integrate(sample: FieldSample, f) -> float | np.ndarray:
         w = w[len(w) // 2 :] * (1.0 if mirrored else 2.0)
         if len(sample.grid.weights) % 2:
             w[0] *= 0.5
-    sums = np.empty((*sample.coef.shape[:-1], len(w)))
+    sums = np.empty((len(sample.coef), len(w)))
     for rows, block in ring_blocks(sample):
-        np.sum(f(block), axis=-1, out=sums[..., rows])
+        np.sum(f(block), axis=-1, out=sums[:, rows])
         if mirrored:
-            sums[..., rows] += np.sum(f(-block), axis=-1)
-    total = np.sum(w * sums, axis=-1)
-    return float(total) if total.ndim == 0 else total
+            sums[:, rows] += np.sum(f(-block), axis=-1)
+    return np.sum(w * sums, axis=-1)
 
 
 def _harmonic_dim(ell: int, d: int) -> int:
@@ -384,9 +378,8 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
     (``_rows_by_degree``).  Peak: Y plus O(ell N) doubles at d = 3 (at d >= 4, plus the
     kept pairs of ``_rows_by_degree``).
 
-    Refused before anything is allocated: over DENSE_NODE_BUDGET nodes
-    (GridTooLargeError), and with fewer nodes than dim_d(ell) (ValueError), where no
-    positive-weight rule on the nodes is exact at degree 2 ell, so h_2 is biased.  A
+    Refused before anything is allocated with fewer nodes than dim_d(ell) (ValueError),
+    where no positive-weight rule on the nodes is exact at degree 2 ell, so h_2 is biased.  A
     built Y whose Y^T Y is over 1e-10 off ``gegenbauer_eval_many`` on 64 fixed node
     pairs (16 of them i = j) is refused too (ValueError) and not cached.
 
@@ -398,8 +391,6 @@ def _dense_factor(grid: SphereGrid, ell: int) -> np.ndarray:
         cache[key] = cache.pop(key)
         return cache[key]
     d, n = grid.d, grid.size
-    if n > DENSE_NODE_BUDGET:
-        raise GridTooLargeError(f"{n} nodes exceeds the node-set budget {DENSE_NODE_BUDGET}")
     dim = _harmonic_dim(ell, d)
     if dim > n:
         raise ValueError(
@@ -447,21 +438,22 @@ def _basis(grid: SphereGrid, ell: int) -> np.ndarray:
     return grid._cache[key]
 
 
-def simulate(ell: int, grid: SphereGrid, seed) -> FieldSample:
-    """One draw of the degree-ell field on ``grid``, or a stack for a 1-D uint64 array of seeds,
-    row i with the bits of seed[i] drawn alone: the basis is built or refused first, so a refusal
-    draws nothing; then dim_d(ell) i.i.d. N(0,1) coefficients a draw, so that by the addition
-    theorem the node covariance is exactly the degree-ell kernel."""
+def simulate(ell: int, grid: SphereGrid, seeds) -> FieldSample:
+    """A stack of draws of the degree-ell field on ``grid``, one per Philox key in [0, 2^128) of the
+    1-D sequence ``seeds``, row i with the bits of Generator(Philox(key=seeds[i])): keys and basis
+    are checked (the basis built or refused) before any draw; then dim_d(ell) i.i.d. N(0,1)
+    coefficients a draw, so that the node covariance is exactly the degree-ell kernel."""
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
+    keys = [int(key) for key in seeds]
+    if not all(0 <= key < 2**128 for key in keys):
+        raise ValueError(f"Philox keys must be in [0, 2**128), got {min(keys)} to {max(keys)}")
     _basis(grid, ell)
     dim = _harmonic_dim(ell, grid.d)
-    if isinstance(seed, (int, np.integer)):
-        return FieldSample(grid, ell, _rng_for(seed).standard_normal(dim))
-    rng, coef = _rng_for(0), np.empty((len(seed), dim))
+    rng, coef = np.random.Generator(np.random.Philox(key=0)), np.empty((len(keys), dim))
     fresh = rng.bit_generator.state  # counter 0, empty buffer
-    for row, key in zip(coef, seed):  # one Philox re-keyed: row i draws as _rng_for(seed[i])
-        fresh["state"]["key"][0] = key
+    for row, key in zip(coef, keys):  # one Philox re-keyed with both key words
+        fresh["state"]["key"][:] = key & 0xFFFFFFFFFFFFFFFF, key >> 64
         rng.bit_generator.state = fresh
         rng.standard_normal(out=row)
     return FieldSample(grid, ell, coef)
@@ -473,22 +465,24 @@ _HEADER = struct.Struct("<HHI")
 
 
 def dump_field(sample: FieldSample, path) -> None:
-    """Write the sample for external visualization (format above); a stack is refused."""
-    if sample.coef.ndim > 1:
+    """Write a stack of one draw for external visualization (format above); refuse any other."""
+    if len(sample.coef) != 1:
         raise ValueError(f"a field dump holds one draw, got a stack of {len(sample.coef)}")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(sample.grid.d, sample.ell, len(sample.values)))
-        fh.write(np.ascontiguousarray(sample.values, dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(sample.grid.d, sample.ell, sample.grid.size))
+        fh.write(np.ascontiguousarray(sample.values[0], dtype="<f8").tobytes())
 
 
 def load_field(path) -> tuple[int, int, np.ndarray]:
-    """Read a dump back as (d, ell, values)."""
+    """Read a dump back as (d, ell, values); a short file or bytes past the N values are refused."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ValueError(f"truncated field dump: {len(header)} of {_HEADER.size} header bytes")
-        d, ell, n = _HEADER.unpack(header)
-        values = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if len(values) != n:
-            raise ValueError(f"truncated field dump: expected {n} values, got {len(values)}")
-    return d, ell, values.copy()
+        raw = fh.read()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"truncated field dump: {len(raw)} of {_HEADER.size} header bytes")
+    d, ell, n = _HEADER.unpack_from(raw)
+    extra = len(raw) - _HEADER.size - 8 * n
+    if extra < 0:
+        raise ValueError(f"truncated field dump: expected {n} values, got {(len(raw) - _HEADER.size) // 8}")
+    if extra > 0:
+        raise ValueError(f"field dump has {extra} extra bytes past its {n} values")
+    return d, ell, np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).copy()

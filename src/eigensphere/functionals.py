@@ -1,7 +1,7 @@
-"""Nonlinear functionals of a sampled field (excursion volume, defect,
-chaos projections), each one quadrature integral of a pointwise function of
-the field by ``field.integrate``, and the Hermite coefficients of the level
-indicator."""
+"""Nonlinear functionals of a stack of sampled fields (excursion volume, defect,
+chaos projections), each one quadrature integral per draw of a pointwise
+function of the field by ``field.integrate``, and the Hermite coefficients of
+the level indicator."""
 from __future__ import annotations
 
 import math
@@ -28,23 +28,22 @@ def indicator_coeffs(z: float, truncation: int = 8) -> tuple[float, ...]:
     return coeffs
 
 
-def excursion_volume(sample: FieldSample, z: float) -> float | np.ndarray:
-    """Quadrature measure of the region where the field exceeds z (mean
-    mu_d * (1 - Phi(z))).  Capped at mu_d: the weights may sum to mu_d
-    plus a few ulps, and no subset of S^d is larger than the sphere."""
-    mu, volume = sphere_measure(sample.grid.d), integrate(sample, lambda v: v > z)
-    return min(volume, mu) if isinstance(volume, float) else np.minimum(volume, mu)
+def excursion_volume(sample: FieldSample, z: float) -> np.ndarray:
+    """Quadrature measure of the region where the field exceeds z, one float64
+    per draw (mean mu_d * (1 - Phi(z))).  Capped at mu_d: the weights may sum
+    to mu_d plus a few ulps, and no subset of S^d is larger than the sphere."""
+    return np.minimum(integrate(sample, lambda v: v > z), sphere_measure(sample.grid.d))
 
 
-def defect(sample: FieldSample) -> float | np.ndarray:
-    """Positive-region volume minus negative-region volume.  Exact zeros
-    contribute nothing (a probability-zero event, tolerated so reruns are
-    bitwise stable)."""
+def defect(sample: FieldSample) -> np.ndarray:
+    """Positive-region volume minus negative-region volume, one float64 per
+    draw.  Exact zeros contribute nothing (a probability-zero event, tolerated
+    so reruns are bitwise stable)."""
     return integrate(sample, np.sign)
 
 
-def hermite_projection(sample: FieldSample, q: int) -> float | np.ndarray:
-    """Order-q chaos projection: quadrature integral of H_q(field)."""
+def hermite_projection(sample: FieldSample, q: int) -> np.ndarray:
+    """Order-q chaos projection, one float64 per draw: quadrature integral of H_q(field)."""
     if q < 0:
         raise ValueError(f"projection order must be >= 0, got {q}")
     return integrate(sample, lambda v: hermite_eval(q, v))

@@ -150,9 +150,10 @@ def test_exit_code_config_error():
 
 
 def test_exit_code_numeric_error():
-    # 78^2 = 6084 nodes exceed the node-set budget
+    # 78^2 = 6084 nodes exceed the node-set budget: refused when the grid is built
     out = invoke("clt", "--d", "3", "--ell", "2", "--reps", "2", "--grid-resolution", "78")
     assert out.returncode == 3
+    assert out.stderr.splitlines() == ["error: 6084 nodes exceeds the node-set budget 6000"]
 
 
 def test_degree_past_node_count_is_numeric_error():

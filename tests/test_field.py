@@ -7,13 +7,13 @@ import pytest
 
 from eigensphere import field
 from eigensphere.field import (
+    DENSE_NODE_BUDGET,
     S2_NODE_BUDGET,
     GridTooLargeError,
     SphereGrid,
     _dense_factor,
     _harmonic_dim,
     _associated_table,
-    _rng_for,
     build_grid,
     dump_field,
     load_field,
@@ -40,6 +40,17 @@ def _s2_coordinates(grid):
     nodes[:, 1] = np.repeat(sin_colat, m) * np.tile(np.sin(phi), res)
     nodes[:, 2] = np.repeat(x, m)
     return phi, nodes
+
+
+def _philox_normals(key, dim):
+    """The normals a new Generator(Philox(key=key)) draws first: row i of a stack."""
+    return np.random.Generator(np.random.Philox(key=int(key))).standard_normal(dim)
+
+
+def _stacks(ell, grid, master, reps, block=500):
+    """Replicates 0..reps-1 of ``master``, drawn in stacks of at most ``block``."""
+    seeds = replicate_seed(master, np.arange(reps))
+    return (simulate(ell, grid, seeds[r : r + block]) for r in range(0, reps, block))
 
 
 def _dense_copy(grid):
@@ -214,9 +225,9 @@ def test_draw_refuses_table_off_its_sum_rule():
     grid = build_grid(2, 16)
     for ell in (2000, 4000):
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"ell={ell}, res=16"):
-            simulate(ell, grid, 0)
+            simulate(ell, grid, [0])
         assert ("legendre", ell) not in grid._cache
-    simulate(1900, build_grid(2, 8), 0)  # 1.6e-13 off on these rings
+    simulate(1900, build_grid(2, 8), [0])  # 1.6e-13 off on these rings
 
 
 def _direct_rows(ell, grid):
@@ -251,26 +262,24 @@ def test_fft_synthesis_matches_direct_sum(ell, res):
     # the 200 rings of (5, 200) are synthesized in two blocks, of 163 and 37
     grid = build_grid(2, res)
     for seed in (0, 11):
-        g = _rng_for(seed).standard_normal(2 * ell + 1)
-        direct = g @ _direct_rows(ell, grid)
-        np.testing.assert_allclose(simulate(ell, grid, seed).values, direct, rtol=0, atol=1e-12)
+        direct = _philox_normals(seed, 2 * ell + 1) @ _direct_rows(ell, grid)
+        np.testing.assert_allclose(simulate(ell, grid, [seed]).values[0], direct, rtol=0, atol=1e-12)
 
 
 def test_seed_determinism(grid64):
-    s1 = simulate(8, grid64, 987654321)
-    s2 = simulate(8, grid64, 987654321)
+    s1 = simulate(8, grid64, [987654321])
+    s2 = simulate(8, grid64, [987654321])
     assert np.array_equal(s1.values, s2.values)
     g3 = build_grid(3, 12)
-    t1 = simulate(4, g3, 42)
-    t2 = simulate(4, g3, 42)
+    t1 = simulate(4, g3, [42])
+    t2 = simulate(4, g3, [42])
     assert np.array_equal(t1.values, t2.values)
 
 
 def test_replicate_seed_derivation():
-    assert replicate_seed(7, 0) == replicate_seed(7, 0)
-    seen = {replicate_seed(7, i) for i in range(200)}
-    assert len(seen) == 200
-    assert replicate_seed(7, 0) != replicate_seed(8, 0)
+    assert np.array_equal(replicate_seed(7, np.arange(200)), replicate_seed(7, np.arange(200)))
+    assert len(set(replicate_seed(7, np.arange(200)))) == 200
+    assert replicate_seed(7, [0])[0] != replicate_seed(8, [0])[0]
 
 
 @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 12345678901234567890, 2**127 + 3])
@@ -282,8 +291,6 @@ def test_replicate_seed_is_numpy_seed_sequence(master):
     seeds = replicate_seed(master, index)
     assert seeds.dtype == np.uint64
     assert np.array_equal(seeds, np.array(expected, dtype=np.uint64))
-    one = replicate_seed(master, 4321)
-    assert type(one) is int and one == int(expected[4321])
 
 
 def test_replicate_seed_refuses_out_of_range():
@@ -291,19 +298,40 @@ def test_replicate_seed_refuses_out_of_range():
         replicate_seed(-1, np.arange(3))
     with pytest.raises(ValueError):
         replicate_seed(5, np.array([0, 2**32]))
+    with pytest.raises(ValueError, match="1-D integer array"):  # not truncated to 0, 0
+        replicate_seed(1, np.array([0.5, 0.0]))
+    with pytest.raises(ValueError, match="1-D integer array"):  # no scalar form
+        replicate_seed(1, 3)
 
 
 @pytest.mark.parametrize("d, res, ell", [(2, 64, 8), (2, 7, 14), (3, 20, 6)])
 def test_stacked_draw_rows_are_single_draws(d, res, ell):
-    # one Philox re-keyed per seed draws row i with the bits of _rng_for(seeds[i])
+    # one Philox re-keyed per seed draws row i with the bits of Generator(Philox(key=seeds[i]))
     grid = build_grid(d, res)
     seeds = replicate_seed(9, np.arange(40))
     stack = simulate(ell, grid, seeds)
     dim = _harmonic_dim(ell, d)
     assert stack.coef.shape == (40, dim)
     for i, seed in enumerate(seeds):
-        assert np.array_equal(stack.coef[i], _rng_for(seed).standard_normal(dim)), i
+        assert np.array_equal(stack.coef[i], _philox_normals(seed, dim)), i
     assert np.array_equal(simulate(ell, grid, seeds[:0]).coef, np.empty((0, dim)))
+
+
+@pytest.mark.parametrize("d, res, ell", [(2, 16, 8), (3, 12, 4)])
+def test_stack_rows_take_both_key_words(d, res, ell):
+    # a key past 2^64 re-keys both Philox key words; keys outside [0, 2^128) are refused
+    # before the basis is built or a normal drawn, as Philox(key=...) refuses them
+    keys = [0, 2**64 - 1, 2**64 + 5, 2**127 + 3, 2**128 - 1]
+    grid, dim = build_grid(d, res), _harmonic_dim(ell, d)
+    for bad in (-1, 2**128):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*128\)"):
+            simulate(ell, grid, [5, bad])
+        with pytest.raises(ValueError, match=r"less than 2\*\*128"):
+            np.random.Philox(key=bad)
+    assert not grid._cache
+    stack = simulate(ell, grid, keys)
+    for i, key in enumerate(keys):
+        assert np.array_equal(stack.coef[i], _philox_normals(key, dim)), key
 
 
 @pytest.mark.parametrize("d, res", [(2, 16), (3, 12), (2, 7)])
@@ -316,15 +344,13 @@ def test_stack_values_are_one_row_per_draw(d, res):
         stack = simulate(ell, grid, seeds)
         assert stack.values.shape == (3, grid.size)
         for i, seed in enumerate(seeds):
-            assert np.array_equal(stack.values[i], simulate(ell, grid, int(seed)).values), (ell, i)
+            assert np.array_equal(stack.values[i], simulate(ell, grid, [seed]).values[0]), (ell, i)
         assert simulate(ell, grid, seeds[:0]).values.shape == (0, grid.size)
 
 
 def test_pointwise_variance():
     grid = build_grid(2, 16)
-    vals = np.empty(10_000)
-    for r in range(len(vals)):
-        vals[r] = simulate(4, grid, replicate_seed(5, r)).values[37]
+    vals = np.concatenate([s.values[:, 37] for s in _stacks(4, grid, 5, 10_000)])
     assert 0.94 <= vals.var(ddof=1) <= 1.06
 
 
@@ -334,9 +360,7 @@ def test_mean_zero_and_covariance_law(grid64):
     idx = rng.integers(0, grid64.size, (50, 2))
     tracked = np.unique(idx)
     pos = {node: k for k, node in enumerate(tracked)}
-    vals = np.empty((reps, len(tracked)))
-    for r in range(reps):
-        vals[r] = simulate(8, grid64, replicate_seed(21, r)).values[tracked]
+    vals = np.concatenate([s.values[:, tracked] for s in _stacks(8, grid64, 21, reps)])
     # ensemble mean at tracked nodes ~ 0 at 3 sigma
     assert np.max(np.abs(vals.mean(axis=0))) <= 3.0 / math.sqrt(reps) + 0.01
     cov = np.cov(vals.T)
@@ -355,7 +379,7 @@ def test_antipodal_symmetry(ell, grid64):
     # from the northern ones, so exactly, and only those have a Legendre table
     m = len(_s2_coordinates(grid64)[0])
     res = len(grid64.cos_colat)
-    s = simulate(ell, grid64, 31415)
+    s = simulate(ell, grid64, [31415])
     v = s.values.reshape(res, m)
     assert np.array_equal(grid64.cos_colat, -grid64.cos_colat[::-1])  # gauss_legendre mirrors its nodes
     assert grid64._cache[("legendre", ell)].size == (ell + 1) * ((res + 1) // 2)
@@ -375,10 +399,7 @@ def test_covariance_at_right_angle(grid64):
     n2 = (res - 1 - i) * m + m // 4
     assert abs(nodes[n1] @ nodes[n2]) < 1e-3
     reps = 4000
-    vals = np.empty((reps, 2))
-    for r in range(reps):
-        s = simulate(4, grid64, replicate_seed(77, r))
-        vals[r] = s.values[[n1, n2]]
+    vals = np.concatenate([s.values[:, [n1, n2]] for s in _stacks(4, grid64, 77, reps)])
     emp = np.cov(vals.T)[0, 1]
     se = math.sqrt((1.0 + 0.375**2) / reps)
     assert abs(emp - 0.375) <= 3.0 * se
@@ -387,7 +408,7 @@ def test_covariance_at_right_angle(grid64):
 def test_spectral_purity(grid64):
     # quadrature inner products against foreign-degree harmonics vanish
     ell = 8
-    s = simulate(ell, grid64, 2024)
+    s = simulate(ell, grid64, [2024])
     phi = _s2_coordinates(grid64)[0]
     m_count = len(phi)
     v = s.values.reshape(-1, m_count)
@@ -524,7 +545,7 @@ def test_dense_factor_refuses_degree_past_node_count():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="needs at least 169 nodes"):
-            simulate(12, grid, 0)
+            simulate(12, grid, [0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -541,9 +562,7 @@ def test_sd_matches_s2_law():
     pairs = rng.integers(0, grid.size, (20, 2))
     tracked = np.unique(pairs)
     pos = {node: k for k, node in enumerate(tracked)}
-    vals = np.empty((reps, len(tracked)))
-    for r in range(reps):
-        vals[r] = simulate(8, grid, replicate_seed(13, r)).values[tracked]
+    vals = np.concatenate([s.values[:, tracked] for s in _stacks(8, grid, 13, reps)])
     cov = np.cov(vals.T)
     for n1, n2 in pairs:
         target = gegenbauer_eval_many(8, 2, grid.nodes[n1] @ grid.nodes[n2])
@@ -560,9 +579,7 @@ def test_isotropy_residuals():
     pairs = rng.integers(0, grid.size, (30, 2))
     tracked = np.unique(pairs)
     pos = {node: k for k, node in enumerate(tracked)}
-    vals = np.empty((reps, len(tracked)))
-    for r in range(reps):
-        vals[r] = simulate(6, grid, replicate_seed(17, r)).values[tracked]
+    vals = np.concatenate([s.values[:, tracked] for s in _stacks(6, grid, 17, reps)])
     cov = np.cov(vals.T)
     resid, feature = [], []
     m = len(phi)
@@ -578,15 +595,23 @@ def test_isotropy_residuals():
 
 
 def test_grid_budget():
-    g = build_grid(3, 78)  # 6084 nodes > node-set budget
-    with pytest.raises(GridTooLargeError):
-        simulate(2, g, 1)
+    # 77^2 = 5929 nodes is the largest node set admitted; 78^2 = 6084 is refused when
+    # the grid is built, before anything is allocated
+    assert build_grid(3, 77).size == 5929 <= DENSE_NODE_BUDGET < 78**2
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLargeError, match="node-set budget"):
+            build_grid(3, 78)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_simulate_dispatch(grid64):
-    assert simulate(4, grid64, 5).values.shape == (grid64.size,)
+    assert simulate(4, grid64, [5]).values.shape == (1, grid64.size)
     g3 = build_grid(3, 12)
-    assert simulate(4, g3, 5).values.shape == (g3.size,)
+    assert simulate(4, g3, [5]).values.shape == (1, g3.size)
 
 
 def test_simulate_routes_by_grid(grid64):
@@ -594,48 +619,49 @@ def test_simulate_routes_by_grid(grid64):
     # synthesis, not d: an S^2 grid given by its nodes is synthesized through
     # the harmonic factor, the product grid by ring synthesis
     dense = _dense_copy(build_grid(2, 12))
-    s = simulate(4, dense, 5)
-    assert s.coef.shape == (9,)
-    assert np.array_equal(s.values, _rng_for(5).standard_normal(9) @ _dense_factor(dense, 4))
-    assert simulate(4, grid64, 5).coef.shape == (9,)
+    s = simulate(4, dense, [5])
+    assert s.coef.shape == (1, 9)
+    assert np.array_equal(s.values[0], _philox_normals(5, 9) @ _dense_factor(dense, 4))
+    assert simulate(4, grid64, [5]).coef.shape == (1, 9)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_simulate_rejects_negative_degree(d):
     grid = build_grid(d, 12)
     with pytest.raises(ValueError, match="degree must be >= 0"):
-        simulate(-1, grid, 0)
+        simulate(-1, grid, [0])
 
 
 # ---------------------------------------------------------------- binary dump
 def test_dump_round_trip(tmp_path, grid64):
-    s = simulate(8, grid64, 5)
+    s = simulate(8, grid64, [5])
     path = tmp_path / "sample.field"
     dump_field(s, path)
     d, ell, values = load_field(path)
     assert (d, ell) == (2, 8)
-    assert np.array_equal(values, s.values)
+    assert np.array_equal(values, s.values[0])
     raw = path.read_bytes()
     assert len(raw) == 8 + 8 * grid64.size
     assert struct.unpack("<HHI", raw[:8]) == (2, 8, grid64.size)
 
 
 def test_dump_refuses_a_stack(tmp_path, grid64):
-    # the dump format holds one field
-    stack = simulate(8, grid64, replicate_seed(1, np.arange(2)))
+    # the dump format holds one field: a stack of two, or of none, is refused
     path = tmp_path / "stack.field"
-    with pytest.raises(ValueError, match="one draw"):
-        dump_field(stack, path)
+    for seeds in (replicate_seed(1, np.arange(2)), []):
+        with pytest.raises(ValueError, match="one draw"):
+            dump_field(simulate(8, grid64, seeds), path)
     assert not path.exists()
 
 
 def test_dump_truncation_detected(tmp_path, grid64):
-    # a short body, a cut-short header and an empty file
-    s = simulate(8, grid64, 5)
+    # a short body, a cut-short header and an empty file; and a body padded past its N values
+    s = simulate(8, grid64, [5])
     path = tmp_path / "sample.field"
     dump_field(s, path)
     raw = path.read_bytes()
-    for cut in (raw[:-16], raw[:5], b""):
+    for cut, message in [(raw[:-16], "truncated field dump"), (raw[:5], "truncated field dump"),
+                         (b"", "truncated field dump"), (raw + bytes(24), "24 extra bytes")]:
         path.write_bytes(cut)
-        with pytest.raises(ValueError, match="truncated field dump"):
+        with pytest.raises(ValueError, match=message):
             load_field(path)

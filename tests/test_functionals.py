@@ -23,10 +23,10 @@ MU2 = sphere_measure(2)
 
 
 def flat_integral(sample, f):
-    """The quadrature integral over every node at once: each ring's weight
-    repeated over its 2*res nodes, times f of the whole field."""
+    """The quadrature integral over every node at once of a stack of one draw:
+    each ring's weight repeated over its 2*res nodes, times f of the whole field."""
     w = np.repeat(sample.grid.weights, 2 * len(sample.grid.cos_colat))
-    return float(np.sum(w * f(sample.values)))
+    return float(np.sum(w * f(sample.values[0])))
 
 
 # -------------------------------------------- reference chaos expansion
@@ -75,7 +75,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def sample(grid):
-    return simulate(8, grid, 123456)
+    return simulate(8, grid, [123456])
 
 
 # --------------------------------------------------------------- coefficients
@@ -119,16 +119,14 @@ def test_chaos_coefficients_validation():
 
 # ------------------------------------------------------------------ excursion
 def test_excursion_extremes(sample):
-    assert excursion_volume(sample, -10.0) == pytest.approx(MU2, abs=1e-9)
-    assert excursion_volume(sample, 10.0) == 0.0
+    assert excursion_volume(sample, -10.0)[0] == pytest.approx(MU2, abs=1e-9)
+    assert excursion_volume(sample, 10.0)[0] == 0.0
 
 
 def test_excursion_mean_small_ensemble(grid):
     reps = 500
     target = MU2 * (1.0 - gauss_pdf_cdf(1.0)[1])
-    vals = np.array(
-        [excursion_volume(simulate(8, grid, replicate_seed(2, r)), 1.0) for r in range(reps)]
-    )
+    vals = excursion_volume(simulate(8, grid, replicate_seed(2, np.arange(reps))), 1.0)
     assert abs(vals.mean() - target) <= 3.0 * vals.std(ddof=1) / math.sqrt(reps)
 
 
@@ -138,21 +136,21 @@ def test_excursion_mean_small_ensemble(grid):
 @example(seed=0, z=-3.0)
 @example(seed=37063921, z=-2.0)
 def test_excursion_range(grid, seed, z):
-    assert 0.0 <= excursion_volume(simulate(6, grid, seed), z) <= MU2
+    assert 0.0 <= excursion_volume(simulate(6, grid, [seed]), z)[0] <= MU2
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32))
 def test_excursion_monotone_in_level(grid, seed):
-    s = simulate(6, grid, seed)
-    ladder = [excursion_volume(s, z) for z in np.linspace(-3.5, 3.5, 29)]
+    s = simulate(6, grid, [seed])
+    ladder = [excursion_volume(s, z)[0] for z in np.linspace(-3.5, 3.5, 29)]
     assert all(b <= a for a, b in zip(ladder, ladder[1:]))
 
 
 # --------------------------------------------------------------------- defect
 def test_defect_identity(sample):
-    d = defect(sample)
-    e0 = excursion_volume(sample, 0.0)
+    d = defect(sample)[0]
+    e0 = excursion_volume(sample, 0.0)[0]
     assert np.all(sample.values != 0.0)
     assert d == pytest.approx(2.0 * e0 - MU2, abs=1e-12)
     assert abs(d) <= MU2
@@ -160,7 +158,7 @@ def test_defect_identity(sample):
 
 def test_defect_mean_zero(grid):
     reps = 600
-    vals = np.array([defect(simulate(8, grid, replicate_seed(4, r))) for r in range(reps)])
+    vals = defect(simulate(8, grid, replicate_seed(4, np.arange(reps))))
     assert abs(vals.mean()) <= 3.0 * vals.std(ddof=1) / math.sqrt(reps)
 
 
@@ -168,13 +166,13 @@ def test_defect_zero_nodes_contribute_nothing():
     # keep only order 0 at odd degree: P_9(0) = 0 exactly, so the equator ring
     # of an odd-resolution grid is exactly zero and no other node is
     grid = build_grid(2, 65)
-    s = simulate(9, grid, 777)
-    s.coef[1:] = 0.0
+    s = simulate(9, grid, [777])
+    s.coef[:, 1:] = 0.0
     v = s.values.reshape(65, 130)
     rest = np.delete(np.arange(65), 32)
     assert np.all(v[32] == 0.0) and np.all(v[rest] != 0.0)
     expected = float(np.sum(grid.weights[rest, None] * np.sign(v[rest])))
-    assert defect(s) == pytest.approx(expected, abs=1e-14)
+    assert defect(s)[0] == pytest.approx(expected, abs=1e-14)
 
 
 # ------------------------------------------------------ ring-block streaming
@@ -184,7 +182,7 @@ def full_sphere_integral(sample, f):
     ring, each ring's weight times the sum of f over its 2*res nodes.  The
     spectrum of a ring FFT of length n packs the normals g as n g[0] at order 0
     and (n / 2)(g[2m-1] - i g[2m]) at order m."""
-    grid, ell, g = sample.grid, sample.ell, sample.coef
+    grid, ell, g = sample.grid, sample.ell, sample.coef[0]
     res, k = len(grid.cos_colat), ell // len(grid.cos_colat) + 1
     n = 2 * k * res
     spectrum = np.concatenate([[n * g[0]], (0.5 * n) * (g[1::2] - 1j * g[2::2])])
@@ -209,14 +207,14 @@ def test_streamed_functionals_match_flat_sum(ell, res):
     north = (res + 1) // 2
     rows = field._BLOCK_DOUBLES // (2 * (ell // res + 1) * res)
     assert rows >= north or north % rows != 0
-    s = simulate(ell, grid, 2718)
+    s = simulate(ell, grid, [2718])
     assert grid._cache[("legendre", ell)].size == (ell + 1) * north
     odd = ell % 2 == 1  # an odd f of an odd-degree field: exactly 0
     cases = [
-        (defect(s), np.sign, odd),
-        (excursion_volume(s, 0.5), lambda v: v > 0.5, False),
-        (hermite_projection(s, 2), lambda v: hermite_eval(2, v), False),
-        (hermite_projection(s, 3), lambda v: hermite_eval(3, v), odd),
+        (defect(s)[0], np.sign, odd),
+        (excursion_volume(s, 0.5)[0], lambda v: v > 0.5, False),
+        (hermite_projection(s, 2)[0], lambda v: hermite_eval(2, v), False),
+        (hermite_projection(s, 3)[0], lambda v: hermite_eval(3, v), odd),
     ]
     for value, f, zero in cases:
         if zero:
@@ -226,15 +224,15 @@ def test_streamed_functionals_match_flat_sum(ell, res):
 
 
 def stored_values_integral(sample, f):
-    """The reductions of a draw that stored its node values, written out: on a
+    """The reductions of a stack of one draw that stored its node values, written out: on a
     node set np.sum(w * f(values)); on S^2 the per-ring sums of f over the
     northern rings, plus the sums of f(-v) at odd ell, the equator of an odd res
     halved, then the weighted sum, doubled at even ell."""
-    w = sample.grid.weights
+    w, values = sample.grid.weights, sample.values[0]
     if sample.grid.cos_colat is None:
-        return float(np.sum(w * f(sample.values)))
+        return float(np.sum(w * f(values)))
     res, half, odd = len(w), len(w) // 2, sample.ell % 2
-    north = sample.values.reshape(res, 2 * res)[half:]
+    north = values.reshape(res, 2 * res)[half:]
     sums = np.sum(f(north), axis=1)
     if odd:
         sums += np.sum(f(-north), axis=1)
@@ -255,9 +253,9 @@ def test_reduction_is_the_stored_values_reduction(d, res, ell):
     grid = build_grid(d, res)
     cases = [np.sign, lambda v: v > 1.0, lambda v: hermite_eval(3, v)]
     for seed in (0, 41):
-        s = simulate(ell, grid, seed)
+        s = simulate(ell, grid, [seed])
         for f in cases:
-            assert integrate(s, f) == stored_values_integral(s, f), (seed, f)
+            assert integrate(s, f) == [stored_values_integral(s, f)], (seed, f)
 
 
 @pytest.mark.parametrize(
@@ -266,14 +264,14 @@ def test_reduction_is_the_stored_values_reduction(d, res, ell):
      (2, 65, 131), (2, 768, 128), (2, 768, 127), (3, 20, 6), (3, 20, 7)],
 )
 def test_stack_reduction_is_the_per_draw_reduction(d, res, ell):
-    # a stack of draws reduced at once gives each draw the bits it has alone: odd res (the
-    # equator its own mirror), ell >= res (a finer ring), even and odd ell, 32 draws on the
-    # 768 grid (one ring a block) and a node set (one mat-vec per draw); an empty stack
-    # reduces to an empty float array
+    # a stack of draws reduced at once gives each draw the bits it has in a stack of one: odd
+    # res (the equator its own mirror), ell >= res (a finer ring), even and odd ell, 32 draws
+    # on the 768 grid (one ring a block) and a node set (one mat-vec per draw); an empty
+    # stack reduces to an empty float array
     grid = build_grid(d, res)
     seeds = replicate_seed(17, np.arange(32 if res == 768 else 5))
     stack, empty = simulate(ell, grid, seeds), simulate(ell, grid, seeds[:0])
-    draws = [simulate(ell, grid, int(seed)) for seed in seeds]
+    draws = [simulate(ell, grid, [seed]) for seed in seeds]
     cases = [
         defect,
         lambda s: excursion_volume(s, 1.0),
@@ -283,9 +281,8 @@ def test_stack_reduction_is_the_per_draw_reduction(d, res, ell):
     ]
     for i, f in enumerate(cases):
         values = f(stack)
-        alone = [f(s) for s in draws]
-        assert all(type(v) is float for v in alone)
-        assert values.shape == (len(seeds),) and np.array_equal(values, np.array(alone)), i
+        alone = np.concatenate([f(s) for s in draws])
+        assert values.shape == (len(seeds),) and np.array_equal(values, alone), i
         none = f(empty)
         assert none.shape == (0,) and none.dtype == float, i
 
@@ -295,22 +292,22 @@ def test_defect_replicate_builds_no_field():
     # ell = 128 stays far below a single 2 res^2 array (9.4 MB): under its Legendre table
     # plus 2 MiB, the block buffers included
     grid = build_grid(2, 768)
-    defect(simulate(128, grid, 0))  # builds the table
+    defect(simulate(128, grid, [0]))  # builds the table
     table = grid._cache[("legendre", 128)]
-    for seed in (1, replicate_seed(1, np.arange(field.BLOCK_DRAWS))):
+    for seeds in ([1], replicate_seed(1, np.arange(field.BLOCK_DRAWS))):
         tracemalloc.start()
         try:
-            defect(simulate(128, grid, seed))
+            defect(simulate(128, grid, seeds))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < table.nbytes + 2**21, (np.ndim(seed), peak)
+        assert peak < table.nbytes + 2**21, (len(seeds), peak)
 
 
 # ---------------------------------------------------------------- projections
 def test_projection_base_cases(sample):
-    assert hermite_projection(sample, 0) == pytest.approx(MU2, rel=1e-15)
-    assert abs(hermite_projection(sample, 1)) < 1e-10
+    assert hermite_projection(sample, 0)[0] == pytest.approx(MU2, rel=1e-15)
+    assert abs(hermite_projection(sample, 1)[0]) < 1e-10
     with pytest.raises(ValueError):
         hermite_projection(sample, -1)
 
@@ -323,18 +320,15 @@ def test_h2_chi_square_identity(ell):
     res = default_resolution(2, "projection", ell, q=2)
     grid = build_grid(2, res)
     n = 2 * ell + 1
-    for r in range(10):
-        s = simulate(ell, grid, replicate_seed(3, r))
-        sum_g2 = np.sum(s.coef**2)
-        exact = MU2 / n * (sum_g2 - n)
-        assert abs(hermite_projection(s, 2) - exact) <= 1e-12 * MU2 / n * sum_g2, (ell, r)
+    s = simulate(ell, grid, replicate_seed(3, np.arange(10)))
+    sum_g2 = np.sum(s.coef**2, axis=1)
+    exact = MU2 / n * (sum_g2 - n)
+    assert np.all(np.abs(hermite_projection(s, 2) - exact) <= 1e-12 * MU2 / n * sum_g2), ell
 
 
 def test_projection_variance_matches_formula(grid):
     reps = 3000
-    vals = np.array(
-        [hermite_projection(simulate(10, grid, replicate_seed(6, r)), 2) for r in range(reps)]
-    )
+    vals = hermite_projection(simulate(10, grid, replicate_seed(6, np.arange(reps))), 2)
     target = projection_variance(10, 2, 2)
     se = vals.var(ddof=1) * math.sqrt(2.0 / reps) * 2.0  # generous band
     assert abs(vals.var(ddof=1) - target) <= 3.0 * se
@@ -344,7 +338,7 @@ def test_projection_variance_matches_formula(grid):
 def test_generic_single_term(sample):
     coeffs = ChaosCoefficients((0.0, 0.0, 2.0, 0.0))
     assert generic_functional(sample, coeffs) == pytest.approx(
-        hermite_projection(sample, 2), rel=1e-12
+        hermite_projection(sample, 2)[0], rel=1e-12
     )
 
 
@@ -366,9 +360,9 @@ def test_expansion_tracks_excursion(grid):
     reps = 400
     direct = np.empty(reps)
     expanded = np.empty(reps)
-    for r in range(reps):
-        s = simulate(32, grid, replicate_seed(9, r))
-        direct[r] = excursion_volume(s, 1.0) - mean
+    for r, seed in enumerate(replicate_seed(9, np.arange(reps))):
+        s = simulate(32, grid, [seed])
+        direct[r] = excursion_volume(s, 1.0)[0] - mean
         expanded[r] = generic_functional(s, coeffs)
     corr = np.corrcoef(direct, expanded)[0, 1]
     assert corr > 0.99
@@ -390,8 +384,8 @@ def test_expansion_l2_error_within_tail_bound():
         for q in range(9, 17)
     )
     errs = np.empty(reps)
-    for r in range(reps):
-        s = simulate(ell, fine, replicate_seed(9, r))
-        errs[r] = excursion_volume(s, 1.0) - MU2 * (1.0 - cdf1) - generic_functional(s, coeffs)
+    for r, seed in enumerate(replicate_seed(9, np.arange(reps))):
+        s = simulate(ell, fine, [seed])
+        errs[r] = excursion_volume(s, 1.0)[0] - MU2 * (1.0 - cdf1) - generic_functional(s, coeffs)
     # 2x headroom: the bound is truncated at order 16 and the MC has noise
     assert np.mean(errs**2) <= 2.0 * tail

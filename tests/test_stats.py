@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eigensphere import stats
-from eigensphere.field import BLOCK_DRAWS, GridTooLargeError, replicate_seed, simulate
+from eigensphere.field import BLOCK_DRAWS, replicate_seed, simulate
 from eigensphere.functionals import defect, excursion_volume, hermite_projection
 from eigensphere.stats import (
     ExperimentSpec,
@@ -57,11 +57,12 @@ def test_no_distances_below_minimum():
 
 
 def test_replicate_error_tagging():
-    spec = ExperimentSpec(3, 2, "defect", 78)  # 6084 nodes > node-set budget
-    with pytest.raises(ReplicateError) as excinfo:
+    # degree 77 on S^3 has 6084 harmonics, more than the 5929 nodes: the first block fails
+    spec = ExperimentSpec(3, 77, "projection", 77, q=2)
+    with pytest.raises(ReplicateError, match="needs at least 6084 nodes") as excinfo:
         run_ensemble(spec, 10, 1)
     assert excinfo.value.index == 0
-    assert isinstance(excinfo.value.__cause__, GridTooLargeError)
+    assert type(excinfo.value.__cause__) is ValueError
 
 
 def test_replicate_error_tags_a_later_block(monkeypatch):
@@ -91,8 +92,8 @@ def test_blocked_ensemble_is_the_per_replicate_loop(spec, replicates):
     grid = shared_grid(spec.d, spec.grid_resolution)
     f = {"projection": lambda s: hermite_projection(s, spec.q), "defect": defect,
          "excursion": lambda s: excursion_volume(s, spec.z)}[spec.functional]
-    loop = [f(simulate(spec.ell, grid, replicate_seed(11, r))) for r in range(replicates)]
-    assert np.array_equal(run_ensemble(spec, replicates, 11).values, np.array(loop))
+    loop = [f(simulate(spec.ell, grid, [seed])) for seed in replicate_seed(11, np.arange(replicates))]
+    assert np.array_equal(run_ensemble(spec, replicates, 11).values, np.concatenate(loop))
 
 
 def test_experiment_validation():

@@ -9,14 +9,14 @@ An S^2 product grid (``cos_colat`` set) synthesizes exactly, one inverse real FF
 ring from its Legendre table: the grid is mirrored and f(-x) = (-1)^ell f(x), so a southern ring
 is its mirror rolled half a turn, times (-1)^ell, which ``integrate`` folds into its weights.  A
 node set (d >= 3, N <= 6000) synthesizes through its exact harmonic factor Y (dim_d(ell) x N,
-Y^T Y the kernel), built by recursion in dimension: one mat-vec g Y per draw, and Y, at most
-N^2 doubles (200 MB at ell = 64 on 5929 nodes), is its peak; the grid keeps at most N^2
-doubles of factors.  Both bases take sin^j G^(d+2j) of S^d from ``_associated_rows``.
+Y^T Y the kernel), from the same ``_associated_rows`` as the S^2 table: one mat-vec g Y per
+draw; Y (200 MB at ell = 64 on 5929 nodes) is its peak, and the grid keeps at most N^2 doubles.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,7 +41,7 @@ __all__ = [
 DENSE_NODE_BUDGET = 6000
 S2_NODE_BUDGET = 2**25  # 2 res^2 nodes, so res <= 4096: 256 MiB of node values
 _TABLE_DOUBLES = 2**17  # an order group's three Legendre row buffers: 1 MiB, kept in cache
-_BLOCK_DOUBLES = 2**16  # one block of synthesized rings: 512 KiB, kept in cache
+_BLOCK_DOUBLES = 2**16  # one block of synthesized rings, 512 KiB, and its padded spectra, as large
 BLOCK_DRAWS = 32  # draws an ensemble makes and reduces at once, one ring block serving them all
 
 
@@ -276,9 +276,9 @@ def ring_blocks(sample: FieldSample):
     """Yield (rows, values) blocks that make the field, each valid until the next: values[b, i]
     holds draw b's nodes of row ``rows``[i].  A node set is one block, g Y as a column (row i is
     node i), one mat-vec per draw (a GEMM has other last bits).  An S^2 grid yields its northern
-    rings (row i is ring res // 2 + i) in blocks of about _BLOCK_DOUBLES, in two buffers made once
-    per call: irfft(table[rings] * spectrum) for all draws at once, of length n = 2 k res,
-    k = ell // res + 1 (ell >= res: every k-th sample)."""
+    rings (row i is ring res // 2 + i) in blocks of about _BLOCK_DOUBLES: one irfft of length n =
+    2 k res, k = ell // res + 1 (ell >= res: every k-th sample), for all draws, of n // 2 + 1 bins:
+    table[rings] * spectrum in bins 0..ell, and zeros past them set once per call, so irfft pads nothing."""
     basis, g = _basis(sample.grid, sample.ell), sample.coef
     if sample.grid.cos_colat is None:
         gy = np.fromiter((row @ basis for row in g), dtype=(float, basis.shape[1]), count=len(g))
@@ -291,10 +291,10 @@ def ring_blocks(sample: FieldSample):
     spectrum[:, 0, 0] = n * g[:, 0]
     spectrum[:, 0, 1:] = (0.5 * n) * (g[:, 1::2] - 1j * g[:, 2::2])
     rows = max(1, min(len(basis), _BLOCK_DOUBLES // (n * max(1, len(g)))))
-    spectra, rings = np.empty((len(g), rows, ell + 1), dtype=complex), np.empty((len(g), rows, n))
+    spectra, rings = np.zeros((len(g), rows, n // 2 + 1), dtype=complex), np.empty((len(g), rows, n))
     for r0 in range(0, len(basis), rows):
         m = min(rows, len(basis) - r0)
-        np.multiply(basis[r0 : r0 + m], spectrum, out=spectra[:, :m])
+        np.multiply(basis[r0 : r0 + m], spectrum, out=spectra[:, :m, : ell + 1])
         np.fft.irfft(spectra[:, :m], n=n, out=rings[:, :m])
         yield slice(r0, r0 + m), rings[:, :m, ::k]
 
@@ -439,13 +439,13 @@ def _basis(grid: SphereGrid, ell: int) -> np.ndarray:
 
 
 def simulate(ell: int, grid: SphereGrid, seeds) -> FieldSample:
-    """A stack of draws of the degree-ell field on ``grid``, one per Philox key in [0, 2^128) of the
-    1-D sequence ``seeds``, row i with the bits of Generator(Philox(key=seeds[i])): keys and basis
-    are checked (the basis built or refused) before any draw; then dim_d(ell) i.i.d. N(0,1)
-    coefficients a draw, so that the node covariance is exactly the degree-ell kernel."""
+    """A stack of draws of the degree-ell field on ``grid``, one per integer Philox key in [0, 2^128)
+    of the 1-D sequence ``seeds``, row i with the bits of Generator(Philox(key=seeds[i])): keys (a
+    float refused, not truncated) and basis (built or refused) are checked before any draw; then
+    dim_d(ell) i.i.d. N(0,1) coefficients a draw, so the node covariance is the degree-ell kernel."""
     if ell < 0:
         raise ValueError(f"degree must be >= 0, got {ell}")
-    keys = [int(key) for key in seeds]
+    keys = [operator.index(key) for key in seeds]
     if not all(0 <= key < 2**128 for key in keys):
         raise ValueError(f"Philox keys must be in [0, 2**128), got {min(keys)} to {max(keys)}")
     _basis(grid, ell)

@@ -266,6 +266,29 @@ def test_fft_synthesis_matches_direct_sum(ell, res):
         np.testing.assert_allclose(simulate(ell, grid, [seed]).values[0], direct, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "ell, res, draws", [(40, 60, 32), (60, 30, 32), (50, 45, 32), (10, 300, 1), (301, 301, 1)]
+)
+def test_ring_blocks_pad_as_irfft_pads(ell, res, draws):
+    # each ring has the bits of numpy's own zero-padding of its ell + 1 bins to length n, though
+    # ring_blocks hands irfft n // 2 + 1 bins whose tail it zeroes once per call: k = 1, 3, 2, 1
+    # and 2, odd res at 45 and 301, stacks of 32 and 1, and every case ends in a partial block,
+    # which reads the zero tail of the reused buffer again
+    grid = build_grid(2, res)
+    sample = simulate(ell, grid, replicate_seed(4, np.arange(draws)))
+    basis, g = field._basis(grid, ell), sample.coef
+    k = ell // res + 1
+    n = 2 * k * res
+    spectrum = np.concatenate([n * g[:, :1], (0.5 * n) * (g[:, 1::2] - 1j * g[:, 2::2])], axis=1)
+    sizes = []
+    for rows, block in field.ring_blocks(sample):
+        sizes.append(rows.stop - rows.start)
+        for i, r in enumerate(range(len(basis))[rows]):
+            for b in range(draws):
+                assert np.array_equal(block[b, i], np.fft.irfft(basis[r] * spectrum[b], n=n)[::k]), (r, b)
+    assert sum(sizes) == len(basis) and sizes[-1] < sizes[0], sizes
+
+
 def test_seed_determinism(grid64):
     s1 = simulate(8, grid64, [987654321])
     s2 = simulate(8, grid64, [987654321])
@@ -332,6 +355,23 @@ def test_stack_rows_take_both_key_words(d, res, ell):
     stack = simulate(ell, grid, keys)
     for i, key in enumerate(keys):
         assert np.array_equal(stack.coef[i], _philox_normals(key, dim)), key
+
+
+@pytest.mark.parametrize("d, res, ell", [(2, 16, 8), (3, 12, 4)])
+def test_simulate_refuses_keys_that_are_not_integers(d, res, ell):
+    # a float key is refused before the basis is built or a normal drawn, not truncated; numpy
+    # integer keys (replicate_seed's uint64) and Python ints past 2^64 keep their bits
+    grid, dim = build_grid(d, res), _harmonic_dim(ell, d)
+    for bad in ([0.5], [3, np.float64(1.9)], np.array([1.9])):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            simulate(ell, grid, bad)
+    assert not grid._cache
+    keys = [7, 2**63 + 1, 2**64 + 5]
+    as_numpy = [np.int64(7), np.uint64(2**63 + 1), 2**64 + 5]
+    for stack in (simulate(ell, grid, as_numpy), simulate(ell, grid, np.array(keys[:2], dtype=np.uint64))):
+        for i, row in enumerate(stack.coef):
+            assert np.array_equal(row, _philox_normals(keys[i], dim)), i
+    assert np.array_equal(simulate(ell, grid, keys).coef[2], _philox_normals(2**64 + 5, dim))
 
 
 @pytest.mark.parametrize("d, res", [(2, 16), (3, 12), (2, 7)])
